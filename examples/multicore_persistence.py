@@ -23,8 +23,7 @@ from dataclasses import replace
 from repro.compiler import compile_program, run_threads
 from repro.config import SystemConfig
 from repro.core import PersistentMachine
-from repro.core.lightwsp import LIGHTWSP
-from repro.baselines import MEMORY_MODE
+from repro.runtime.backends import LIGHTWSP, MEMORY_MODE
 from repro.sim import simulate
 from repro.workloads.archetypes import transactional
 

@@ -52,12 +52,10 @@ from .analysis import (
     vg4_hw_cost,
 )
 from .analysis import experiments as E
-from .baselines import ALL_SCHEMES
 from .compiler import compile_program
 from .compiler.textir import parse_program, print_program
 from .config import DEFAULT_CONFIG
 from .core.failure import crash_sweep
-from .core.lightwsp import LIGHTWSP
 from .runtime import BACKENDS, compare_backends, format_compare, get_backend
 from .workloads import BENCHMARKS, SUITES, benchmarks_of
 
@@ -80,8 +78,7 @@ FIGURES = {
     "ablation-compiler": E.ablation_compiler,
 }
 
-SCHEMES = dict(ALL_SCHEMES)
-SCHEMES[LIGHTWSP.name] = LIGHTWSP
+SCHEMES = {b.policy.name: b.policy for b in BACKENDS.values()}
 
 
 def cmd_info(args: argparse.Namespace) -> int:

@@ -21,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..baselines import CAPRI, CWSP, MEMORY_MODE, PPA, PSP_IDEAL
 from ..compiler.interp import run_single, run_threads
 from ..compiler.pipeline import compile_program
 from ..config import CXL_PRESETS, DEFAULT_CONFIG, SystemConfig, VictimPolicy
-from ..core.lightwsp import LIGHTWSP
-from ..sim.engine import SchemePolicy, SimResult, simulate
-from ..sim.trace import TraceEvent, count_events
+from ..runtime.backends import CAPRI, CWSP, LIGHTWSP, MEMORY_MODE, PPA, PSP_IDEAL
+from ..runtime.policy import SchemePolicy
+from ..sim.engine import SimResult, simulate
+from ..trace import TraceEvent, count_events
 from ..workloads.suite import BENCHMARKS, MEMORY_INTENSIVE, Benchmark
 from .metrics import geomean, per_suite
 from . import cacti, hwcost

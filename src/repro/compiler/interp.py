@@ -1,10 +1,10 @@
 """A stepping interpreter (VM) for the IR.
 
 The VM executes one instruction per :meth:`ThreadVM.step` call and returns
-a :class:`~repro.sim.trace.TraceEvent`, so it serves three masters:
+a :class:`~repro.trace.TraceEvent`, so it serves three masters:
 
 * trace generation for the timing simulator (run a thread to completion,
-  collect the events),
+  collect the events: :func:`trace_of`),
 * the functional persistence machine, which interposes on every memory
   write to model WPQ gating and can stop a thread at an arbitrary step to
   inject a power failure,
@@ -53,7 +53,7 @@ from typing import (
 )
 
 from ..errors import DeadlockError, MachineLimitError
-from ..sim.trace import EK, TraceEvent
+from ..trace import EK, TraceEvent
 from .ir import WORD_BYTES, Instr, Op, Program
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
     "ThreadVM",
     "run_single",
     "run_threads",
+    "trace_of",
     "precompile_dispatch",
     "invalidate_dispatch",
 ]
@@ -841,3 +842,16 @@ def run_threads(
                     "all threads blocked: lock deadlock", steps=total
                 )
     return events, memory
+
+
+def trace_of(
+    program: Program,
+    entries: Sequence[Tuple[str, Sequence[int]]] = (("main", ()),),
+    max_steps: int = 4_000_000,
+) -> List[TraceEvent]:
+    """The dynamic trace of ``program``: one entry runs through
+    :func:`run_single`, several through :func:`run_threads`."""
+    if len(entries) == 1:
+        fname, args = entries[0]
+        return run_single(program, fname, args=args, max_steps=max_steps)[0]
+    return run_threads(program, entries, max_steps=max_steps)[0]

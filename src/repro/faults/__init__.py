@@ -34,7 +34,6 @@ from .model import (
 )
 from .oracle import Violation, check_image, diff_images
 from .shrink import shrink_schedule
-from .trace import FaultTrace, NullTrace, image_hash, read_trace
 
 __all__ = [
     "ACK_LATENCY_STEPS",
@@ -45,12 +44,10 @@ __all__ = [
     "Defenses",
     "FAULT_CLASSES",
     "FaultEvent",
-    "FaultTrace",
     "FaultyMachine",
     "MSG_OPS",
     "NESTED_POINTS",
     "NestedPowerFailure",
-    "NullTrace",
     "RETRY_TIMEOUT_BOUNDARIES",
     "STORE_CAMPAIGN_BENCHMARKS",
     "ScenarioResult",
@@ -58,8 +55,6 @@ __all__ = [
     "Violation",
     "check_image",
     "diff_images",
-    "image_hash",
-    "read_trace",
     "replay_trace",
     "run_campaign",
     "run_scenario",

@@ -1,12 +1,11 @@
 """The concrete backends: every scheme's policy + runtime, defined once.
 
-Each scheme's timing knobs used to live in ``repro.baselines`` (and
-LightWSP's in ``repro.core.lightwsp``) while its functional behaviour
-was hard-coded into the machine; both now derive from the single
-:class:`~repro.runtime.backend.PersistBackend` registered here.  The
-paper-mapping rationale for each policy's knob values stays with the
-deprecation shims in :mod:`repro.baselines` (cwsp/capri/ppa/psp/
-memory_mode module docstrings) and :mod:`repro.core.lightwsp`.
+Each scheme is a single :class:`~repro.runtime.backend.PersistBackend`
+registered here, owning both its timing knobs (the
+:class:`~repro.runtime.policy.SchemePolicy` the shared engine replays
+traces under) and its functional crash semantics.  The paper-mapping
+rationale for each policy's knob values sits in the comment above the
+policy.
 
 Fault-class capabilities are literal tuples (kept a subset of
 :data:`repro.faults.model.FAULT_CLASSES` by test) rather than imports,
@@ -50,9 +49,18 @@ _EAGER_FAULTS = ("clean_cut", "nested_cut")
 
 
 # ----------------------------------------------------------------------
-# timing policies (one per scheme; knob rationale in the shim modules)
+# timing policies (one per scheme, with the paper-mapping rationale)
 # ----------------------------------------------------------------------
 
+# LightWSP (§III-§IV):
+# * every store (data, checkpoint, PC-checkpointing boundary) places one
+#   8-byte entry on the non-temporal persist path;
+# * WPQs are gated: entries quarantine per region and flush via the
+#   commit pipeline, i.e. lazy region-level persist ordering (§III-B);
+# * the core never waits at a region boundary; the only stalls are
+#   front-end-buffer back-pressure when the path or WPQ cannot keep up.
+# Hardware cost (§V-G4): a 2-byte flush ID per MC; everything else (WCB
+# as front-end buffer, battery-backed WPQ) already exists.
 LIGHTWSP = SchemePolicy(
     name="LightWSP",
     persists=True,
@@ -64,6 +72,24 @@ LIGHTWSP = SchemePolicy(
     snoop=True,
 )
 
+# cWSP, compiler-directed whole-system persistence (ISCA'24): the state
+# of the art LightWSP compares against in Fig. 10 (§II-C2).  It forms
+# idempotent regions (no checkpoint stores) and persists speculatively
+# across region boundaries, undoing via hardware undo logs on a
+# mis-speculated power failure.
+# * idempotent regions, no instrumentation: the original binary with
+#   hardware-tracked region markers (implicit_region_stores=16, since
+#   anti-dependences force short regions);
+# * speculative persistence: stores drain to PM at once, never waiting
+#   for older regions (gated=False, boundary_wait=False);
+# * undo-logging delay: every PM write first copies the old value,
+#   inflating the drain (drain_factor=1.25), which is why cWSP degrades
+#   on write-intensive workloads (§II-C2);
+# * core-MC speculation tracking: recurring messages keep region
+#   persistence status coherent (region_comm_cycles=6).
+# Net effect: a slightly better average slowdown than LightWSP (5.7% vs
+# 8.5% in Fig. 10, no checkpoint-store overhead) at the price of
+# intrusive core + MC changes.
 CWSP = SchemePolicy(
     name="cWSP",
     persists=True,
@@ -77,6 +103,19 @@ CWSP = SchemePolicy(
     implicit_region_stores=16,
 )
 
+# Capri (HPDC'22): compiler/architecture WSP via a separate L1-to-PM
+# persist path with hardware redo+undo logging (§II-C2).
+# * 64-byte granularity: every 8 B store pushes a whole cacheline down
+#   the persist path, an 8x bandwidth amplification (entry_factor=8).
+#   This buries Capri at the practical 4 GB/s path bandwidth (Fig. 7);
+#   with its original 32 GB/s assumption it would sit near 20%;
+# * hardware-delineated failure-atomic regions: front-end/back-end
+#   buffers bound the region size (implicit_region_stores), and Capri
+#   runs the original binary (no compiler instrumentation);
+# * multi-MC ordering by stopping traffic: Capri stalls its persist path
+#   at each region end until the previous region is flushed to PM
+#   (boundary_wait=True, wait_for="flush").
+# Hardware cost (§V-G4): 54 KB per core for the redo+undo buffers.
 CAPRI = SchemePolicy(
     name="Capri",
     persists=True,
@@ -90,6 +129,21 @@ CAPRI = SchemePolicy(
     implicit_region_stores=32,
 )
 
+# PPA, the Persistent Processor Architecture (MICRO'23), §II-C2.  PPA
+# replays unpersisted stores after a failure, which needs store
+# integrity: operand registers of committed stores stay pinned in the
+# physical register file (PRF) until the stores persist.
+# * hardware-delineated regions: a region ends when the PRF can no
+#   longer pin registers, proxied by a fixed store budget
+#   (implicit_region_stores=24), on the original binary;
+# * eager writeback: every store starts persisting as soon as it reaches
+#   L1 (gated=False), overlapping only with its own region;
+# * boundary stall: at each implicit boundary the pipeline waits until
+#   the region's stores reach the battery-backed WPQ
+#   (boundary_wait=True).  LightWSP's LRPO removes this wait, which is
+#   why PPA's persistence efficiency trails it in Fig. 8 when regions
+#   are short.
+# Hardware cost (§V-G4): 337 B per core for store-integrity tracking.
 PPA = SchemePolicy(
     name="PPA",
     persists=True,
@@ -101,6 +155,14 @@ PPA = SchemePolicy(
     implicit_region_stores=24,
 )
 
+# The ideal partial-system-persistence scheme of Fig. 9 (§V-D), modelled
+# after an optimized BBB (battery-backed buffers, HPCA'21) approaching
+# Intel eADR: the whole cache hierarchy is inside the persistence
+# domain, so persistence is free (persists=False).  What it cannot do is
+# use DRAM as a last-level cache: no battery saves terabytes of DRAM, so
+# persistent data lives in PM behind the SRAM caches only
+# (uses_dram_cache=False).  Every L2 miss pays full PM latency, the
+# whole 51.2% average gap Fig. 9 reports for memory-intensive apps.
 PSP_IDEAL = SchemePolicy(
     name="PSP-Ideal",
     persists=False,
@@ -108,6 +170,10 @@ PSP_IDEAL = SchemePolicy(
     snoop=False,
 )
 
+# The evaluation baseline: Intel Optane PMem's memory mode running the
+# original binary.  DRAM caches PM as in LightWSP, but nothing persists
+# crash-consistently: no persist path, no WPQ gating, no region
+# boundaries.  Every slowdown is normalized to it (§V-A).
 MEMORY_MODE = SchemePolicy(
     name="memory-mode",
     persists=False,

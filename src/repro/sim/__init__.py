@@ -1,18 +1,17 @@
-"""The timing-simulator substrate: traces, caches, memory controllers,
-queueing primitives, and the scheme-parameterized engine."""
+"""The timing-simulator substrate: trace files, caches, memory
+controllers, queueing primitives, and the scheme-parameterized engine.
+The trace-event schema itself is :mod:`repro.trace`."""
 
 from .cache import Cache, CacheHierarchy
-from .engine import SchemePolicy, SimResult, TimingEngine, simulate
+from .engine import SimResult, TimingEngine, simulate
 from .mc import CommitPipeline, MemoryController
 from .memory import AddressMap
 from .queues import SerialServer, SlotPool
-from .trace import EK, TraceEvent, TraceStats, count_events
 from .tracefile import dump_trace, dumps_trace, load_trace, loads_trace
 
 __all__ = [
     "Cache",
     "CacheHierarchy",
-    "SchemePolicy",
     "SimResult",
     "TimingEngine",
     "simulate",
@@ -21,10 +20,6 @@ __all__ = [
     "AddressMap",
     "SerialServer",
     "SlotPool",
-    "EK",
-    "TraceEvent",
-    "TraceStats",
-    "count_events",
     "dump_trace",
     "dumps_trace",
     "load_trace",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 from typing import Iterable, List, TextIO
 
-from .trace import EK, TraceEvent
+from ..trace import EK, TraceEvent
 
 __all__ = ["dump_trace", "load_trace", "dumps_trace", "loads_trace"]
 
@@ -26,8 +26,11 @@ _FIELDS = (
     ("tid", "t"),
     ("lock_id", "l"),
     ("boundary_uid", "b"),
+    ("payload", "p"),
 )
-_DEFAULTS = {"addr": 0, "tid": 0, "lock_id": 0, "boundary_uid": -1}
+_DEFAULTS = {
+    "addr": 0, "tid": 0, "lock_id": 0, "boundary_uid": -1, "payload": 0,
+}
 _SHORT_TO_FIELD = {short: field for field, short in _FIELDS}
 
 
@@ -48,9 +51,12 @@ def _parse_line(line: str, lineno: int) -> TraceEvent:
     kwargs = dict(_DEFAULTS)
     for token in parts[1:]:
         short, _, value = token.partition("=")
-        if short not in _SHORT_TO_FIELD or not value:
-            raise ValueError("line %d: bad field %r" % (lineno, token))
-        kwargs[_SHORT_TO_FIELD[short]] = int(value)
+        try:
+            kwargs[_SHORT_TO_FIELD[short]] = int(value)
+        except (KeyError, ValueError):
+            raise ValueError(
+                "line %d: bad field %r" % (lineno, token)
+            ) from None
     return TraceEvent(kind=kind, **kwargs)
 
 

@@ -1,8 +1,6 @@
 """The single trace-event schema shared by every layer.
 
-Two kinds of trace live here, historically split between
-``repro.sim.trace`` and ``repro.faults.trace`` (both remain as
-compatibility re-export shims):
+Two kinds of trace live here:
 
 * **dynamic instruction events** (:class:`TraceEvent`, :class:`EK`) — the
   interface between the compiler's execution (or a synthetic workload
@@ -42,7 +40,6 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "TRACE_SCHEMA_MAJOR",
     "JsonlTrace",
-    "FaultTrace",
     "NullTrace",
     "TraceSchemaError",
     "TraceParseError",
@@ -264,10 +261,6 @@ class JsonlTrace:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-#: the historical name: fault campaigns were the first JSONL emitters
-FaultTrace = JsonlTrace
 
 
 class NullTrace:

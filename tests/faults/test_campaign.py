@@ -6,12 +6,11 @@ import pytest
 from repro.faults import (
     DEFENSE_OFF_MODES,
     FaultEvent,
-    read_trace,
     replay_trace,
     run_campaign,
     shrink_schedule,
 )
-from repro.faults.trace import iter_scenarios
+from repro.trace import iter_scenarios, read_trace
 
 BENCH = ["bzip2"]
 

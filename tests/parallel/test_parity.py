@@ -10,8 +10,9 @@ from helpers import saxpy_program
 from repro.compiler import compile_program
 from repro.config import CompilerConfig
 from repro.core.failure import crash_sweep
-from repro.faults import read_trace, replay_trace, run_campaign
+from repro.faults import replay_trace, run_campaign
 from repro.runtime import compare_backends
+from repro.trace import read_trace
 
 BENCH = ["bzip2"]
 

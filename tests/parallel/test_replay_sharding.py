@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.faults import read_trace, replay_trace, run_campaign
+from repro.faults import replay_trace, run_campaign
+from repro.trace import read_trace
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.baselines import ALL_SCHEMES
-from repro.core import lightwsp as core_lightwsp
+import repro
 from repro.faults.model import FAULT_CLASSES
 from repro.runtime import (
     BACKENDS,
@@ -12,7 +11,6 @@ from repro.runtime import (
     SchemePolicy,
     get_backend,
 )
-from repro.runtime import backends as B
 from repro.sim import engine as sim_engine
 
 EXPECTED = {
@@ -45,19 +43,12 @@ def test_get_backend_resolution():
 
 
 def test_exactly_one_lrpo_policy_definition():
-    """core.lightwsp and the timing engine both consume the runtime
+    """The root package and the timing engine both consume the runtime
     layer's definitions — no parallel copies survive the refactor."""
-    assert core_lightwsp.LIGHTWSP is LIGHTWSP
+    assert repro.LIGHTWSP is LIGHTWSP
+    assert repro.SchemePolicy is SchemePolicy
     assert sim_engine.SchemePolicy is SchemePolicy
     assert BACKENDS["lightwsp-lrpo"].policy is LIGHTWSP
-
-
-def test_baseline_shims_reexport_runtime_policies():
-    assert ALL_SCHEMES["cWSP"] is B.CWSP
-    assert ALL_SCHEMES["Capri"] is B.CAPRI
-    assert ALL_SCHEMES["PPA"] is B.PPA
-    assert ALL_SCHEMES["PSP-Ideal"] is B.PSP_IDEAL
-    assert ALL_SCHEMES["memory-mode"] is B.MEMORY_MODE
 
 
 def test_fault_classes_are_known_and_consistent():
@@ -82,15 +73,15 @@ def test_gating_matches_runtime_class():
 def test_engine_accepts_backend_objects():
     """simulate()/TimingEngine unwrap a PersistBackend to its policy."""
     from repro.compiler import compile_program
+    from repro.compiler.interp import trace_of
     from repro.config import DEFAULT_CONFIG
-    from repro.core.lightwsp import trace_of
     from repro.sim.engine import simulate
     from repro.workloads import BENCHMARKS
 
     compiled = compile_program(
         BENCHMARKS["bzip2"].build(scale=0.01), DEFAULT_CONFIG.compiler
     )
-    events = trace_of(compiled)
+    events = trace_of(compiled.program)
     backend = BACKENDS["cwsp-eager"]
     via_backend = simulate(events, DEFAULT_CONFIG, backend)
     via_policy = simulate(events, DEFAULT_CONFIG, backend.policy)

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 
 from repro.config import SystemConfig, VictimPolicy
-from repro.core.lightwsp import LIGHTWSP
-from repro.sim.engine import SchemePolicy, simulate
-from repro.sim.trace import EK, TraceEvent
+from repro.runtime.backends import LIGHTWSP
+from repro.runtime.policy import SchemePolicy
+from repro.sim.engine import simulate
+from repro.trace import EK, TraceEvent
 
 
 def tiny_wpq_config(entries=4):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim.trace import EK, TraceEvent
 from repro.sim.tracefile import dumps_trace, loads_trace
+from repro.trace import EK, TraceEvent
 
 
 class TestRoundTrip:
@@ -38,6 +38,15 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="bad field"):
             loads_trace("alu,z=1\n")
 
+    def test_io_payload_round_trips(self):
+        event = TraceEvent(EK.IO, tid=1, lock_id=3, payload=42)
+        assert dumps_trace([event]).strip() == "io,t=1,l=3,p=42"
+        assert loads_trace(dumps_trace([event])) == [event]
+
+    def test_bad_integer_names_its_line(self):
+        with pytest.raises(ValueError, match=r"line 2: bad field 'a=zz'"):
+            loads_trace("alu\nload,a=zz\n")
+
     def test_real_trace_round_trips(self):
         from helpers import saxpy_program
         from repro.compiler import run_single
@@ -48,8 +57,8 @@ class TestRoundTrip:
     def test_loaded_trace_simulates_identically(self):
         from helpers import saxpy_program
         from repro.compiler import run_single
-        from repro.baselines import MEMORY_MODE
         from repro.config import SystemConfig
+        from repro.runtime.backends import MEMORY_MODE
         from repro.sim.engine import simulate
 
         events, _ = run_single(saxpy_program(n=32))

@@ -1,7 +1,11 @@
 """Tests for the `python -m repro` CLI."""
 
+import pytest
 
 from repro.__main__ import main
+
+#: the timing-plane scheme names `repro list` prints, in its order
+LISTED_SCHEMES = ("Capri", "LightWSP", "PPA", "PSP-Ideal", "cWSP", "memory-mode")
 
 
 class TestCLI:
@@ -28,6 +32,17 @@ class TestCLI:
         assert main(["run", "namd", "--scale", "0.02"]) == 0
         out = capsys.readouterr().out
         assert "slowdown" in out
+
+    def test_list_pins_scheme_names(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [ln for ln in lines if ln.startswith("schemes:")]
+        assert line == "schemes: " + ", ".join(LISTED_SCHEMES)
+
+    @pytest.mark.parametrize("scheme", LISTED_SCHEMES)
+    def test_every_listed_scheme_runs(self, scheme, capsys):
+        assert main(["run", "namd", "--scheme", scheme, "--scale", "0.02"]) == 0
+        assert "namd under %s:" % scheme in capsys.readouterr().out
 
     def test_run_unknown_benchmark(self, capsys):
         assert main(["run", "nope"]) == 2

@@ -5,8 +5,8 @@ figures depend on."""
 import pytest
 
 from repro.analysis import ExperimentContext
-from repro.baselines import MEMORY_MODE, PSP_IDEAL
-from repro.sim.trace import EK, count_events
+from repro.runtime.backends import MEMORY_MODE, PSP_IDEAL
+from repro.trace import EK, count_events
 from repro.workloads import BENCHMARKS
 
 
