@@ -53,7 +53,7 @@ from .analysis import (
 )
 from .analysis import experiments as E
 from .compiler import compile_program
-from .compiler.textir import parse_program, print_program
+from .compiler.textir import ParseError, parse_program, print_program
 from .config import DEFAULT_CONFIG
 from .core.failure import crash_sweep
 from .runtime import BACKENDS, compare_backends, format_compare, get_backend
@@ -169,17 +169,34 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if args.name not in FIGURES:
         print("unknown figure %r (see `list`)" % args.name)
         return 2
-    ctx = ExperimentContext(
-        scale=args.scale,
-        benchmarks=args.benchmarks if args.benchmarks else None,
-    )
+    try:
+        ctx = ExperimentContext(
+            scale=args.scale,
+            benchmarks=args.benchmarks if args.benchmarks else None,
+        )
+    except KeyError as exc:
+        print(exc.args[0])
+        return 2
     print(format_figure(FIGURES[args.name](ctx)))
     return 0
 
 
+def _load_lir(path: str):
+    """Parse a ``.lir`` file, or print ``path:line: message`` and return
+    None when it is malformed."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse_program(text)
+    except ParseError as exc:
+        print("%s:%d: %s" % (path, exc.lineno, exc.message))
+        return None
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
-    with open(args.file) as fh:
-        program = parse_program(fh.read())
+    program = _load_lir(args.file)
+    if program is None:
+        return 2
     from .config import CompilerConfig
 
     compiled = compile_program(
@@ -230,8 +247,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.targets:
         for name in args.targets:
             if name.endswith(".lir"):
-                with open(name) as fh:
-                    targets.append((name, parse_program(fh.read())))
+                program = _load_lir(name)
+                if program is None:
+                    return 2
+                targets.append((name, program))
             elif name in BENCHMARKS:
                 targets.append(
                     (name, BENCHMARKS[name].build(scale=args.scale))

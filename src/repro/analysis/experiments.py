@@ -4,7 +4,8 @@ Each driver returns a :class:`FigureResult` — rows of per-benchmark (or
 per-suite) values plus aggregate series — that the benchmark harness
 prints and EXPERIMENTS.md records.  All drivers share an
 :class:`ExperimentContext`, which caches generated traces so that, e.g.,
-the four schemes of Fig. 7 replay the same dynamic execution.
+the four schemes of Fig. 7 replay the same dynamic execution, and
+memoizes each simulation.
 
 Which trace a scheme replays (see DESIGN.md):
 
@@ -18,12 +19,20 @@ Which trace a scheme replays (see DESIGN.md):
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.interp import run_single, run_threads
 from ..compiler.pipeline import compile_program
-from ..config import CXL_PRESETS, DEFAULT_CONFIG, SystemConfig, VictimPolicy
+from ..compiler.textir import print_program
+from ..config import (
+    CXL_PRESETS,
+    DEFAULT_CONFIG,
+    CompilerConfig,
+    SystemConfig,
+    VictimPolicy,
+)
 from ..runtime.backends import CAPRI, CWSP, LIGHTWSP, MEMORY_MODE, PPA, PSP_IDEAL
 from ..runtime.policy import SchemePolicy
 from ..sim.engine import SimResult, simulate
@@ -59,6 +68,11 @@ __all__ = [
 
 _MAX_TRACE_STEPS = 12_000_000
 
+#: stands in for ``config.compiler`` in the simulation memo key: nothing
+#: under ``repro.sim`` reads it, so configs that differ only there (a
+#: store-threshold sweep) name the same simulation once the trace is fixed
+_ENGINE_COMPILER = CompilerConfig()
+
 
 @dataclass
 class FigureResult:
@@ -89,11 +103,26 @@ class FigureResult:
 
 
 class ExperimentContext:
-    """Shared trace cache + defaults for one experiment campaign.
+    """Shared trace cache, simulation memo and defaults for one experiment
+    campaign.
 
     ``scale`` multiplies every benchmark's dynamic op count: 1.0 is the
     documented full size (~30k-200k instructions per app), smaller values
     keep pytest-benchmark runs quick.
+
+    Two memo levels, each keyed on what its layer reads (DESIGN.md,
+    "Experiment memoization"):
+
+    * a trace is keyed ``(name, threads, digest)``, where ``digest`` is
+      the SHA-256 of the compiled program's TextIR (``None`` for the
+      uninstrumented binary), so compiler configs that yield the same
+      program share one trace;
+    * a :class:`SimResult` is keyed on the trace key, the config with its
+      ``compiler`` field reset (the engine never reads it), the policy
+      and the hardware core count.
+
+    A memoized :class:`SimResult` is shared by every caller that asks for
+    the same simulation: treat it as read-only.
     """
 
     def __init__(
@@ -109,8 +138,10 @@ class ExperimentContext:
         if unknown:
             raise KeyError("unknown benchmarks: %s" % ", ".join(unknown))
         self.names = names
-        self._base: Dict[Tuple, List[TraceEvent]] = {}
-        self._compiled: Dict[Tuple, List[TraceEvent]] = {}
+        self._traces: Dict[Tuple, List[TraceEvent]] = {}
+        #: (name, threads, CompilerConfig) -> trace key of its program
+        self._compiled_keys: Dict[Tuple, Tuple] = {}
+        self._results: Dict[Tuple, SimResult] = {}
 
     # ------------------------------------------------------------------
     def benchmarks(self) -> List[Benchmark]:
@@ -126,15 +157,34 @@ class ExperimentContext:
         events, _ = run_threads(program, entries, max_steps=_MAX_TRACE_STEPS)
         return events
 
+    def _baseline_key(self, name: str, threads: Optional[int]) -> Tuple:
+        bench = BENCHMARKS[name]
+        key = (name, threads or bench.threads, None)
+        if key not in self._traces:
+            program = bench.build(scale=self.scale, threads=threads)
+            self._traces[key] = self._trace(program, bench.entries(threads))
+        return key
+
+    def _compiled_key(
+        self, name: str, cc: CompilerConfig, threads: Optional[int]
+    ) -> Tuple:
+        bench = BENCHMARKS[name]
+        threads_key = threads or bench.threads
+        key = self._compiled_keys.get((name, threads_key, cc))
+        if key is None:
+            program = bench.build(scale=self.scale, threads=threads)
+            compiled = compile_program(program, cc).program
+            digest = hashlib.sha256(print_program(compiled).encode()).hexdigest()
+            key = (name, threads_key, digest)
+            if key not in self._traces:
+                self._traces[key] = self._trace(compiled, bench.entries(threads))
+            self._compiled_keys[(name, threads_key, cc)] = key
+        return key
+
     def baseline_trace(
         self, name: str, threads: Optional[int] = None
     ) -> List[TraceEvent]:
-        bench = BENCHMARKS[name]
-        key = (name, threads or bench.threads)
-        if key not in self._base:
-            program = bench.build(scale=self.scale, threads=threads)
-            self._base[key] = self._trace(program, bench.entries(threads))
-        return self._base[key]
+        return self._traces[self._baseline_key(name, threads)]
 
     def compiled_trace(
         self,
@@ -142,16 +192,8 @@ class ExperimentContext:
         config: Optional[SystemConfig] = None,
         threads: Optional[int] = None,
     ) -> List[TraceEvent]:
-        bench = BENCHMARKS[name]
         cc = (config or self.config).compiler
-        key = (name, threads or bench.threads, cc)
-        if key not in self._compiled:
-            program = bench.build(scale=self.scale, threads=threads)
-            compiled = compile_program(program, cc)
-            self._compiled[key] = self._trace(
-                compiled.program, bench.entries(threads)
-            )
-        return self._compiled[key]
+        return self._traces[self._compiled_key(name, cc, threads)]
 
     # ------------------------------------------------------------------
     def run(
@@ -163,17 +205,26 @@ class ExperimentContext:
     ) -> SimResult:
         """``threads`` sets the *software* thread count; threads beyond
         ``config.cores`` hardware contexts time-share cores, as in the
-        paper's Fig. 16 oversubscription study."""
+        paper's Fig. 16 oversubscription study.  The result is memoized
+        and shared: do not mutate it."""
         config = config or self.config
         hardware = None
         if threads is not None and threads > config.cores:
             hardware = config.cores
         if policy.name.startswith(LIGHTWSP.name):
             # LightWSP and its ablation variants replay the compiled trace
-            events = self.compiled_trace(name, config, threads)
+            trace_key = self._compiled_key(name, config.compiler, threads)
         else:
-            events = self.baseline_trace(name, threads)
-        return simulate(events, config, policy, hardware_cores=hardware)
+            trace_key = self._baseline_key(name, threads)
+        key = (trace_key, replace(config, compiler=_ENGINE_COMPILER),
+               policy, hardware)
+        result = self._results.get(key)
+        if result is None:
+            result = simulate(
+                self._traces[trace_key], config, policy, hardware_cores=hardware
+            )
+            self._results[key] = result
+        return result
 
     def slowdown(
         self,

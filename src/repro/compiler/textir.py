@@ -47,6 +47,7 @@ class ParseError(ValueError):
     def __init__(self, lineno: int, message: str) -> None:
         super().__init__("line %d: %s" % (lineno, message))
         self.lineno = lineno
+        self.message = message
 
 
 # ----------------------------------------------------------------------
@@ -142,6 +143,7 @@ def print_program(program: Program) -> str:
 # ----------------------------------------------------------------------
 
 _ADDR_RE = re.compile(r"^\[\s*(\S+)\s*\+\s*(\S+)\s*\]$")
+_ARRAY_RE = re.compile(r"^array\s+(\S+)\s+(\d+)(?:\s+@(\d+))?$")
 
 
 def _parse_operand(token: str, lineno: int) -> Operand:
@@ -208,19 +210,20 @@ def parse_program(text: str) -> Program:
             raise ParseError(lineno, "missing 'program <name>' header")
 
         if line.startswith("array "):
-            parts = line.split()
-            if len(parts) == 3:
-                _, name, words = parts
-                base = program.array(name, int(words))
-            elif len(parts) == 4 and parts[3].startswith("@"):
-                _, name, words, at = parts
-                base = int(at[1:])
-                if name in program.globals:
-                    raise ParseError(lineno, "duplicate array %r" % name)
-                program.globals[name] = (base, int(words))
-                program._next_addr = max(program._next_addr, base + int(words))
-            else:
+            match = _ARRAY_RE.match(line)
+            if match is None:
                 raise ParseError(lineno, "bad array declaration")
+            name, words, at = match.group(1), int(match.group(2)), match.group(3)
+            if name in program.globals:
+                raise ParseError(lineno, "duplicate array %r" % name)
+            if words < 1:
+                raise ParseError(lineno, "array %r must have at least one word" % name)
+            if at is None:
+                program.array(name, words)
+            else:
+                base = int(at)
+                program.globals[name] = (base, words)
+                program._next_addr = max(program._next_addr, base + words)
             symbols[name] = program.globals[name][0]
             continue
 

@@ -105,6 +105,23 @@ e:
         with pytest.raises(ParseError, match="bad operand"):
             parse_program("program p\nfunc main()\ne:\n    add r1, r2, @@\n    ret\n")
 
+    @pytest.mark.parametrize("decl", [
+        "array a x", "array a 4 @x", "array a 4 5", "array a",
+    ])
+    def test_bad_array_declaration_rejected(self, decl):
+        with pytest.raises(ParseError, match="bad array declaration") as err:
+            parse_program("program p\n%s\n" % decl)
+        assert err.value.lineno == 2
+
+    @pytest.mark.parametrize("decl", ["array a 0", "array a 0 @64"])
+    def test_empty_array_rejected(self, decl):
+        with pytest.raises(ParseError, match="at least one word"):
+            parse_program("program p\n%s\n" % decl)
+
+    def test_duplicate_array_rejected(self):
+        with pytest.raises(ParseError, match="duplicate array"):
+            parse_program("program p\narray a 4\narray a 4\n")
+
     def test_line_numbers_reported(self):
         try:
             parse_program("program p\nfunc main()\ne:\n    wat\n")

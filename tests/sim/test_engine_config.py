@@ -8,6 +8,7 @@ from helpers import saxpy_program
 from repro.compiler import compile_program, run_single
 from repro.compiler.interp import trace_of
 from repro.config import CXL_PRESETS, SystemConfig, VictimPolicy
+from repro.runtime import BACKENDS
 from repro.runtime.backends import LIGHTWSP, MEMORY_MODE
 from repro.sim.engine import simulate
 
@@ -112,3 +113,25 @@ class TestVictimPolicyTiming:
             config = traces["config"].with_victim_policy(policy)
             cycles[policy] = simulate(traces["lw"], config, LIGHTWSP).cycles
         assert max(cycles.values()) / min(cycles.values()) < 1.05
+
+
+class TestCompilerConfigInvisible:
+    """``ExperimentContext`` drops ``config.compiler`` from its simulation
+    memo key.  That is sound only while the engine never reads it: a
+    fixed trace must time the same under every store threshold."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        config = SystemConfig()
+        compiled = compile_program(saxpy_program(n=400), config.compiler)
+        return config, trace_of(compiled.program)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_store_threshold_does_not_change_timing(self, small, backend):
+        config, trace = small
+        policy = BACKENDS[backend].policy
+        reference = simulate(trace, config, policy)
+        for threshold in (8, 128):
+            other = config.with_store_threshold(threshold)
+            assert other.compiler != config.compiler
+            assert simulate(trace, other, policy) == reference

@@ -60,6 +60,34 @@ class TestCLI:
     def test_figure_unknown(self, capsys):
         assert main(["figure", "fig99"]) == 2
 
+    def test_figure_unknown_benchmarks(self, capsys):
+        assert main(["figure", "fig7", "--benchmarks", "lbm", "nope"]) == 2
+        assert capsys.readouterr().out.strip() == "unknown benchmarks: nope"
+
+    def test_compile_malformed_lir(self, capsys, tmp_path):
+        bad = tmp_path / "bad.lir"
+        bad.write_text("program p\nfunc main()\nentry:\n    frobnicate r1\n")
+        assert main(["compile", str(bad)]) == 2
+        assert capsys.readouterr().out.strip() == (
+            "%s:4: unknown mnemonic 'frobnicate'" % bad
+        )
+
+    def test_compile_malformed_array_declaration(self, capsys, tmp_path):
+        bad = tmp_path / "bad.lir"
+        bad.write_text("program p\narray a x\n")
+        assert main(["compile", str(bad)]) == 2
+        assert capsys.readouterr().out.strip() == (
+            "%s:2: bad array declaration" % bad
+        )
+
+    def test_verify_malformed_lir(self, capsys, tmp_path):
+        bad = tmp_path / "bad.lir"
+        bad.write_text("func main()\n")
+        assert main(["verify", str(bad)]) == 2
+        assert capsys.readouterr().out.strip() == (
+            "%s:1: missing 'program <name>' header" % bad
+        )
+
     def test_compile_lir(self, capsys):
         assert main(["compile", "examples/counter.lir", "--threshold", "8"]) == 0
         out = capsys.readouterr().out
