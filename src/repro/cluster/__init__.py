@@ -35,7 +35,7 @@ Layers:
 * :mod:`repro.cluster.ring`        — consistent-hash key placement
 * :mod:`repro.cluster.protocol`    — tokens, deadlines, typed errors, backoff
 * :mod:`repro.cluster.workload`    — logical client ops + transactions
-* :mod:`repro.cluster.shard`       — the pure per-epoch shard executor
+* :mod:`repro.cluster.shard`       — shard and key-range state between epochs
 * :mod:`repro.cluster.supervisor`  — the crash/recovery state machine
 * :mod:`repro.cluster.coordinator` — routing, retries, 2PC, the epoch loop
 * :mod:`repro.cluster.oracle`      — zero acked-write loss + atomicity
@@ -67,10 +67,9 @@ from .protocol import (
     ClusterResponse,
     RetryPolicy,
     SessionTracker,
-    fence_admits,
 )
 from .ring import DEFAULT_VNODES, HashRing, moved_keys
-from .shard import EpochResult, RangeState, ShardState, execute_shard_epoch
+from .shard import RangeState, ShardState
 from .supervisor import DEAD, DOWN, RECOVERING, SUSPECT, UP, Supervisor
 from .workload import LogicalOp, generate_cluster_ops
 
@@ -98,14 +97,11 @@ __all__ = [
     "ClusterResponse",
     "RetryPolicy",
     "SessionTracker",
-    "fence_admits",
     "DEFAULT_VNODES",
     "HashRing",
     "moved_keys",
-    "EpochResult",
     "RangeState",
     "ShardState",
-    "execute_shard_epoch",
     "DEAD",
     "DOWN",
     "RECOVERING",

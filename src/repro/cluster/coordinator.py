@@ -79,6 +79,7 @@ from ..config import DEFAULT_CONFIG, SystemConfig
 from ..faults.model import FaultEvent
 from ..parallel import fan_out
 from ..runtime.backend import get_backend, require_recovering
+from ..store.epoch import EpochResult, execute_shard_epoch
 from ..store.layout import OP_DELETE, OP_GET, OP_PUT, OP_SCAN
 from ..store.oracle import StoreModel
 from ..store.programs import Request, build_store_program
@@ -94,7 +95,7 @@ from .protocol import (
     SessionTracker,
 )
 from .ring import HashRing, moved_keys
-from .shard import RangeState, ShardState, execute_shard_epoch
+from .shard import RangeState, ShardState
 from .supervisor import Supervisor
 from .workload import LogicalOp, generate_cluster_ops
 
@@ -220,7 +221,7 @@ class ClusterSession:
         sizing = StoreLayout.sized(
             2 * keyspace, value_words=value_words, max_batch=batch
         )
-        prog, self.layout = build_store_program(sizing, epoch_base=0)
+        prog, self.layout = build_store_program(sizing)
         self.compiled = compile_program(prog, config.compiler, verify=verify)
         self.ring = HashRing(n_shards, vnodes)
         self.shards = [
@@ -500,14 +501,8 @@ class ClusterSession:
             for i, sub in enumerate(subs):
                 self._dispatched[(shard_id, first_id + i)] = sub
             kill = self._kills.get((e, shard_id))
-            crash_step = None
-            crash_event = None
-            if kill is not None:
-                crash_step = 1 + mix_int(
-                    self.seed, "kill", e, shard_id
-                ) % (60 * len(subs))
-                crash_event = FaultEvent(kind="cut", step=crash_step)
-                self.counters["kills"] += 1
+            crash_step, crash_event = self._cut_for(kill, e, shard_id,
+                                                    len(subs))
             msg_events = [
                 FaultEvent(
                     kind="msg", step=1, op=f.op, mc=f.mc, delay=f.delay
@@ -557,15 +552,61 @@ class ClusterSession:
         for (fe, fs), kill in sorted(self._kills.items()):
             if fe != e or fs in executed or not self.supervisor[fs].serving:
                 continue
-            self.counters["kills"] += 1
-            self.supervisor.observe_crash(fs, e, kill.down_for)
-            self.shards[fs].crashes += 1
-            self.trace.emit(
-                "shard_kill", epoch=e, shard=fs, step=0,
-                down_for=kill.down_for, acked_before_cut=0,
-                completed_in_dark=0,
-            )
+            self._take_dark(fs, e, kill)
         return completions
+
+    def _cut_for(
+        self, kill: Optional[ClusterFault], e: int, shard_id: int, n: int
+    ) -> Tuple[Optional[int], Optional[FaultEvent]]:
+        """The seeded power-cut step (and its fault) for a kill striking
+        a batch of ``n`` requests at ``shard_id`` in epoch ``e``; counts
+        the kill.  ``(None, None)`` when no kill is scheduled."""
+        if kill is None:
+            return None, None
+        crash_step = 1 + mix_int(self.seed, "kill", e, shard_id) % (60 * n)
+        self.counters["kills"] += 1
+        return crash_step, FaultEvent(kind="cut", step=crash_step)
+
+    def _take_dark(
+        self,
+        shard_id: int,
+        e: int,
+        kill: ClusterFault,
+        result: Optional[EpochResult] = None,
+    ) -> None:
+        """A kill takes the shard dark for ``kill.down_for`` epochs.
+        ``result`` is the batch the cut interrupted; without one the cut
+        struck an idle shard — counted here, with nothing to resume."""
+        if result is None:
+            self.counters["kills"] += 1
+            result = EpochResult(shard=shard_id)
+        self.shards[shard_id].crashes += 1
+        self.supervisor.observe_crash(shard_id, e, kill.down_for)
+        self.trace.emit(
+            "shard_kill", epoch=e, shard=shard_id, step=result.crash_step,
+            down_for=kill.down_for,
+            acked_before_cut=len(result.acked_local),
+            completed_in_dark=len(result.late_local),
+        )
+
+    def _settle(
+        self,
+        state: ShardState,
+        requests: List[Request],
+        result: EpochResult,
+    ) -> Optional[List[int]]:
+        """Advance ``state`` past one executed batch.  The batch is
+        applied to the reference model in full (a cut resumes and
+        completes on recovery — whole-system persistence) and the
+        epoch's durable image is adopted.  Returns the model's results
+        when the durable ones diverge from them, else None; the caller
+        words the violation."""
+        self.violations.extend(result.violations)
+        want = state.model.apply_all(requests)
+        state.image = result.image
+        state.served += len(requests)
+        state.epochs += 1
+        return want if result.results != want else None
 
     # ------------------------------------------------------------------
     def _merge(self, e: int, unit: Dict[str, Any], result: Any) -> List[int]:
@@ -574,7 +615,6 @@ class ClusterSession:
         subs: List[_SubOp] = unit["subs"]
         first_id: int = unit["first_id"]
         requests: List[Request] = unit["requests"]
-        self.violations.extend(result.violations)
         if result.outcome in ("replay_rejected", "fenced_rejected"):
             # a live dispatch must always be at the shard's fence; the
             # dup_req chaos path exercises the fence via _replay_probe
@@ -586,20 +626,12 @@ class ClusterSession:
             )
             return []
 
-        # advance the ground truth: the batch is applied in full (a cut
-        # resumes and completes on recovery — whole-system persistence)
-        want = state.model.apply_all(requests)
-        if result.results != want:
+        want = self._settle(state, requests, result)
+        if want is not None:
             self.violations.append(
                 "shard %d epoch %d: durable results %r diverge from "
                 "model %r" % (shard_id, e, result.results, want)
             )
-        state.image = result.image
-        state.served += len(requests)
-        state.epochs += 1
-        state.steps += result.steps
-        for k, v in result.fault_counters.items():
-            state.fault_counters[k] = state.fault_counters.get(k, 0) + v
         fence = unit["fence"]
         for i, sub in enumerate(subs):
             self.applied_log.append(Applied(
@@ -619,17 +651,11 @@ class ClusterSession:
             (first_id + p, result.results[p]) for p in result.late_local
         ]
         if result.outcome == "crashed":
-            state.crashes += 1
             kill: ClusterFault = unit["kill"]
-            self.supervisor.observe_crash(shard_id, e, kill.down_for)
+            self._take_dark(shard_id, e, kill, result)
             if late:
                 # completed in the dark; delivered at the rejoin
                 self._held.append((e + kill.down_for, shard_id, late))
-            self.trace.emit(
-                "shard_kill", epoch=e, shard=shard_id,
-                step=result.crash_step, down_for=kill.down_for,
-                acked_before_cut=len(acks), completed_in_dark=len(late),
-            )
 
         # transport faults on the ack path
         dup = False
@@ -714,7 +740,6 @@ class ClusterSession:
             follower.image, follower.served, requests, first_id,
             follower.model, self.backend.name, config=self.config,
         )
-        self.violations.extend(result.violations)
         rs.shipped += 1
         if result.outcome != "ok":
             self.violations.append(
@@ -722,16 +747,11 @@ class ClusterSession:
                 % (rs.range_id, first_id, result.outcome)
             )
             return
-        want = follower.model.apply_all(requests)
-        if result.results != want:
+        if self._settle(follower, requests, result) is not None:
             self.violations.append(
                 "range %d: follower replay of shipped batch at id %d "
                 "diverged from the model" % (rs.range_id, first_id)
             )
-        follower.image = result.image
-        follower.served += len(requests)
-        follower.epochs += 1
-        follower.steps += result.steps
         self.counters["shipped"] += 1
 
     def _promote_dead(self, e: int) -> None:
@@ -897,14 +917,7 @@ class ClusterSession:
             elif kill is not None:
                 # nothing to copy this chunk, but the power cut strikes
                 # regardless — the idle-kill path, migration edition
-                self.counters["kills"] += 1
-                self.supervisor.observe_crash(target, e, kill.down_for)
-                self.shards[target].crashes += 1
-                self.trace.emit(
-                    "shard_kill", epoch=e, shard=target, step=0,
-                    down_for=kill.down_for, acked_before_cut=0,
-                    completed_in_dark=0,
-                )
+                self._take_dark(target, e, kill)
             m["copied"] += len(keys)
             self.counters["migrated_keys"] += len(keys)
             self.trace.emit(
@@ -1010,14 +1023,8 @@ class ClusterSession:
         state = self.shards[shard_id]
         first_id = state.served
         fence = self._fence_of(shard_id)
-        crash_step = None
-        crash_event = None
-        if kill is not None:
-            crash_step = 1 + mix_int(
-                self.seed, "kill", e, shard_id
-            ) % (60 * len(requests))
-            crash_event = FaultEvent(kind="cut", step=crash_step)
-            self.counters["kills"] += 1
+        crash_step, crash_event = self._cut_for(kill, e, shard_id,
+                                                len(requests))
         result = execute_shard_epoch(
             shard_id, self.compiled, self.layout,
             state.image, state.served, requests, first_id,
@@ -1025,7 +1032,6 @@ class ClusterSession:
             crash_step=crash_step, crash_event=crash_event,
             batch_fence=fence, range_fence=fence,
         )
-        self.violations.extend(result.violations)
         if result.outcome in ("replay_rejected", "fenced_rejected"):
             self.violations.append(
                 "shard %d epoch %d: internal %s batch at id %d was "
@@ -1033,18 +1039,11 @@ class ClusterSession:
                 % (shard_id, e, role, first_id, result.outcome)
             )
             return
-        want = state.model.apply_all(requests)
-        if result.results != want:
+        if self._settle(state, requests, result) is not None:
             self.violations.append(
                 "shard %d epoch %d: internal %s batch results diverge "
                 "from model" % (shard_id, e, role)
             )
-        state.image = result.image
-        state.served += len(requests)
-        state.epochs += 1
-        state.steps += result.steps
-        for k, v in result.fault_counters.items():
-            state.fault_counters[k] = state.fault_counters.get(k, 0) + v
         for i, req in enumerate(requests):
             self.applied_log.append(Applied(
                 shard_id, first_id + i, -1, req, role, fence, e,
@@ -1054,14 +1053,7 @@ class ClusterSession:
                 (e, first_id, list(requests))
             )
         if result.outcome == "crashed" and kill is not None:
-            state.crashes += 1
-            self.supervisor.observe_crash(shard_id, e, kill.down_for)
-            self.trace.emit(
-                "shard_kill", epoch=e, shard=shard_id,
-                step=result.crash_step, down_for=kill.down_for,
-                acked_before_cut=len(result.acked_local),
-                completed_in_dark=len(result.late_local),
-            )
+            self._take_dark(shard_id, e, kill, result)
 
     # ------------------------------------------------------------------
     # negative-oracle hooks (the cluster's mutation self-test)

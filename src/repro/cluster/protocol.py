@@ -30,9 +30,10 @@ Replication phase two adds two more protocol-level concepts:
   :data:`PRIMARY` image and replicated to a :data:`FOLLOWER` image.
   Each range carries a monotonically increasing *fencing token*, bumped
   at every promotion; a batch is admitted to the range's settled log
-  only if it carries the current token (:func:`fence_admits`).  A
-  demoted primary — dead, promoted past, then resurrected — still holds
-  its old token, so nothing it serves can ever re-enter the log.
+  only if it carries the current token
+  (:func:`repro.store.epoch.fence_admits`).  A demoted primary — dead,
+  promoted past, then resurrected — still holds its old token, so
+  nothing it serves can ever re-enter the log.
 * **read-your-writes session tokens** — logical ops are grouped into
   client sessions; a :class:`SessionTracker` remembers, per session and
   key, the log position of the last acknowledged write, and certifies
@@ -57,7 +58,6 @@ __all__ = [
     "PRIMARY",
     "FOLLOWER",
     "ROLES",
-    "fence_admits",
     "SessionTracker",
     "ClusterResponse",
     "RetryPolicy",
@@ -75,15 +75,6 @@ STATUSES: Tuple[str, ...] = (OK, UNAVAILABLE, DEADLINE_EXCEEDED, ABORTED)
 PRIMARY = "primary"
 FOLLOWER = "follower"
 ROLES: Tuple[str, ...] = (PRIMARY, FOLLOWER)
-
-
-def fence_admits(range_fence: int, batch_fence: int) -> bool:
-    """Whether a batch stamped with ``batch_fence`` may enter the
-    range's settled log when the range's current fencing token is
-    ``range_fence``.  Only the exact current token is admitted: a stale
-    token is a demoted primary speaking after its promotion (split
-    brain), a newer token is a sequencing bug — both are refused."""
-    return batch_fence == range_fence
 
 
 @dataclass

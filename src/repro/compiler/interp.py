@@ -28,8 +28,7 @@ programs, and it is the soundness argument for keeping two loops.
 The dispatch cache lives on the :class:`~repro.compiler.ir.Program` and
 revalidates cheaply (length + terminator identity) on block entry, so the
 in-place block surgery the mutation self-test and the placement engine
-perform is picked up automatically; code that rewrites *fields* of an
-already-executed instruction must call :func:`invalidate_dispatch`.
+perform is picked up automatically.
 
 Semantics notes: all arithmetic wraps to signed 64-bit; division/modulo by
 zero yield 0 (no traps — power failure is the only "exception" this system
@@ -64,7 +63,6 @@ __all__ = [
     "run_threads",
     "trace_of",
     "precompile_dispatch",
-    "invalidate_dispatch",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -267,13 +265,6 @@ def precompile_dispatch(program: Program) -> None:
             for label, block in func.blocks.items()
         }
     program._dispatch = dispatch
-
-
-def invalidate_dispatch(program: Program) -> None:
-    """Drop the dispatch cache.  Needed only when code mutates *fields*
-    of an already-executed instruction in place; block-level insertion or
-    deletion is caught by the fetch-time revalidation."""
-    program._dispatch = None
 
 
 class WordMemory:

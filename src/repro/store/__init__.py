@@ -14,10 +14,19 @@ Layers:
 * :mod:`repro.store.programs` — the operations as IR, compiled for real
 * :mod:`repro.store.workload` — seeded YCSB-style request generation
 * :mod:`repro.store.oracle`   — executable spec + acked-write theorem
+* :mod:`repro.store.epoch`    — one shard epoch: boot, cut, recover, settle
 * :mod:`repro.store.server`   — sharded epoch serving, latency, crashes
 * :mod:`repro.store.bench`    — store programs as fault-campaign targets
 """
 
+from .epoch import (
+    DATA_FLOOR,
+    MAX_EPOCH_STEPS,
+    EpochResult,
+    execute_shard_epoch,
+    fence_admits,
+    image_digest,
+)
 from .layout import (
     OP_DELETE,
     OP_GET,
@@ -46,6 +55,12 @@ from .workload import DISTRIBUTIONS, MIXES, generate_workload
 from .bench import STORE_BENCHMARKS, STORE_SUITE
 
 __all__ = [
+    "DATA_FLOOR",
+    "MAX_EPOCH_STEPS",
+    "EpochResult",
+    "execute_shard_epoch",
+    "fence_admits",
+    "image_digest",
     "OP_DELETE",
     "OP_GET",
     "OP_PUT",

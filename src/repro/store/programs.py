@@ -318,7 +318,6 @@ def _emit_main(
     prog: Program,
     lay: StoreLayout,
     baked: Optional[Sequence[Request]],
-    epoch_base: int,
 ) -> None:
     fb = FunctionBuilder(prog, "main")
     if baked is not None:
@@ -369,7 +368,8 @@ def _emit_main(
     fb.br("finish")
     fb.block("finish")                # durable result, then the ack
     fb.store("r10", "r1", base=lay.out)
-    fb.add("r11", "r1", epoch_base)
+    # a no-op kept on purpose: dropping it shifts every pinned step count
+    fb.add("r11", "r1", 0)
     fb.io(RESP_DEVICE, "r11")
     fb.add("r1", "r1", 1)
     fb.br("loop")
@@ -381,7 +381,6 @@ def _emit_main(
 def build_store_program(
     lay: StoreLayout,
     baked_requests: Optional[Sequence[Request]] = None,
-    epoch_base: int = 0,
     name: str = "kvstore",
 ) -> Tuple[Program, StoreLayout]:
     """Emit the full store program.  Returns ``(program, placed_layout)``
@@ -390,9 +389,8 @@ def build_store_program(
     With ``baked_requests`` the batch is written by a setup block of
     immediate stores (a self-contained program); without it the caller
     must seed ``reqs`` and ``meta[META_NREQ]`` into the machine's images
-    (see :func:`request_words`).  ``epoch_base`` offsets the ``io``
-    acknowledgement payloads so global request ids stay unique across
-    epochs."""
+    (see :func:`request_words`).  Each request's ``io`` acknowledgement
+    carries its index within the batch."""
     prog = Program(name)
     placed = lay.place(prog)
     _emit_probe(prog, placed)
@@ -401,7 +399,7 @@ def build_store_program(
     _emit_delete(prog, placed)
     _emit_scan(prog, placed)
     _emit_compact(prog, placed)
-    _emit_main(prog, placed, baked_requests, epoch_base)
+    _emit_main(prog, placed, baked_requests)
     prog.validate()
     return prog, placed
 

@@ -2,20 +2,21 @@
 
 A :func:`run_serve` call generates a seeded workload, partitions it by
 key hash across ``shards`` independent machine instances, and serves it
-in *epochs*: each shard's next batch is seeded into a persistent request
-ring (the ``reqs``/``meta`` arrays), a fresh dispatcher program runs it
-on a :class:`~repro.faults.machine.FaultyMachine` (all defenses on, so
-acknowledgements pay the real flush-ACK latency), and the shard's durable
-image is carried into the next epoch.  One machine instruction is one
-simulated step; latencies and throughput are converted to wall time via
-the configured base CPI and clock.
+in *epochs*: each shard's next batch runs through the shared shard-epoch
+executor (:func:`repro.store.epoch.execute_shard_epoch`, the one
+``repro cluster serve`` uses too), which seeds the batch into the
+persistent request ring (the ``reqs``/``meta`` arrays), runs the store
+program — compiled once per server — on a
+:class:`~repro.faults.machine.FaultyMachine` (all defenses on, so
+acknowledgements pay the real flush-ACK latency), and returns the
+shard's durable image for the next epoch.  One machine instruction is
+one simulated step; latencies and throughput are converted to wall time
+via the configured base CPI and clock.
 
 A request is **acknowledged** when its response ``io`` survives in the
 durable I/O log — i.e. the region containing the ``io`` committed.  Its
-latency is the step distance from the ``io`` issuing to that region's
-commit (the WPQ quarantine + boundary broadcast + flush-ACK wait),
-collected through the opt-in ``MachineStats.commit_steps``/``io_steps``
-hooks so un-instrumented runs pay nothing.
+latency is the step count from epoch start to that region's commit
+(queueing, the WPQ quarantine, boundary broadcast and flush-ACK wait).
 
 Kill-and-recover: with a crash scheduled, every shard's power fails at a
 seeded step inside the chosen epoch (optionally with a torn battery
@@ -29,32 +30,27 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.metrics import latency_summary
-from ..compiler.interp import precompile_dispatch
-from ..compiler.ir import Instr, Op, Program
+from ..compiler.ir import Program
 from ..compiler.pipeline import CompiledProgram, compile_program
 from ..config import DEFAULT_CONFIG, SystemConfig
-from ..faults.defenses import ALL_ON
-from ..faults.machine import FaultyMachine
 from ..faults.model import FaultEvent
+from .epoch import execute_shard_epoch, image_digest
 from .layout import KNUTH, META_COMPACTIONS, META_DROPS, StoreLayout
-from .oracle import StoreModel, check_recovery, visible_state
-from .programs import Request, build_store_program, request_words
+from .oracle import StoreModel, visible_state
+from .programs import Request, build_store_program
 from .workload import generate_workload
 from ..trace import JsonlTrace, NullTrace
 
 __all__ = [
-    "DATA_FLOOR",
     "ShardReport",
     "ServeReport",
     "StoreServer",
     "run_serve",
 ]
-
-#: everything below this word address is the checkpoint array
-DATA_FLOOR = Program.CHECKPOINT_WORDS_PER_CORE * Program.MAX_CONTEXTS
 
 
 def _mix_int(*parts: int) -> int:
@@ -193,10 +189,6 @@ class StoreServer:
         self.progress = progress or (lambda msg: None)
         self.trace = trace if trace is not None else NullTrace()
         self.shards = [_Shard(i, self.layout) for i in range(n_shards)]
-        #: (template, patchable epoch_base instr) — see _compiled_for
-        self._compiled_cache: Optional[
-            Tuple[CompiledProgram, Optional[Instr]]
-        ] = None
         self.violations: List[str] = []
         self.sim_ns = 0.0
         self._cycles_per_step = config.base_cpi
@@ -214,52 +206,16 @@ class StoreServer:
             shard.requests.append((len(shard.requests), request))
 
     # ------------------------------------------------------------------
-    def _fresh_compile(self, epoch_base: int) -> CompiledProgram:
-        prog, placed = build_store_program(self.layout, epoch_base=epoch_base)
+    @cached_property
+    def compiled(self) -> CompiledProgram:
+        """The store program every epoch runs, compiled on first use and
+        never edited: acknowledgement payloads are batch-local indices,
+        so one program serves every batch."""
+        prog, placed = build_store_program(self.layout)
         if placed != self.layout:
-            raise RuntimeError("store layout moved between epochs")
+            raise RuntimeError("store layout moved since the server pinned it")
         return compile_program(prog, self.config.compiler, verify=self.verify)
 
-    def _compiled_for(self, epoch_base: int) -> CompiledProgram:
-        """The epoch's compiled program, one pipeline run per server.
-
-        Epochs of one layout differ only in ``epoch_base``, which
-        survives the pipeline as the immediate of the single
-        ``add r11, r1, <base>`` in main's "finish" block (the io-ack
-        payload offset).  Running the full Fig. 3 pipeline per epoch
-        costs more than executing a smoke-scale epoch, so compile once,
-        patch that immediate, and relower the dispatch tables — the
-        result is instruction-for-instruction what a fresh compile
-        produces.  If the pipeline ever stops leaving exactly one
-        matching instruction, every epoch falls back to a fresh compile.
-        """
-        cached = self._compiled_cache
-        if cached is None:
-            compiled = self._fresh_compile(epoch_base)
-            sites = [
-                ins
-                for block in compiled.program.functions["main"].blocks.values()
-                for ins in block.instrs
-                if ins.op == Op.ADD
-                and ins.dst == "r11"
-                and len(ins.srcs) == 2
-                and ins.srcs[0] == "r1"
-                and isinstance(ins.srcs[1], int)
-                and ins.srcs[1] == epoch_base
-            ]
-            self._compiled_cache = (
-                compiled, sites[0] if len(sites) == 1 else None
-            )
-            return compiled
-        compiled, site = cached
-        if site is None:
-            return self._fresh_compile(epoch_base)
-        if site.srcs[1] != epoch_base:
-            site.srcs = (site.srcs[0], epoch_base)
-            precompile_dispatch(compiled.program)
-        return compiled
-
-    # ------------------------------------------------------------------
     def _run_epoch(
         self,
         shard: _Shard,
@@ -267,10 +223,17 @@ class StoreServer:
         crash_step: Optional[int],
         crash_event: Optional[FaultEvent],
         epoch: int = 0,
-    ) -> None:
-        lay = self.layout
+    ) -> int:
+        """Serve one batch on one shard; returns the machine steps."""
         first_id = batch[0][0]
-        if first_id != shard.served:
+        requests = [r for _, r in batch]
+        result = execute_shard_epoch(
+            shard.shard, self.compiled, self.layout, shard.image,
+            shard.served, requests, first_id, shard.model, self.backend,
+            config=self.config, crash_step=crash_step,
+            crash_event=crash_event,
+        )
+        if result.outcome == "replay_rejected":
             # At-most-once guard: every epoch must start exactly where
             # the previous one ended.  A message-layer dup (or a buggy
             # driver) re-delivering an already-served epoch would
@@ -287,106 +250,66 @@ class StoreServer:
                     shard.served,
                 )
             )
-        requests = [r for _, r in batch]
-        compiled = self._compiled_for(first_id)
-        machine = FaultyMachine(
-            compiled, config=self.config, defenses=ALL_ON,
-            max_steps=8_000_000, backend=self.backend,
-        )
-        machine.pm.update(shard.image)
-        machine.volatile.words.update(shard.image)
-        ring = request_words(lay, requests)
-        machine.pm.update(ring)
-        machine.volatile.words.update(ring)
-        machine.stats.commit_steps = []
-        machine.stats.io_steps = []
-
-        crashed = False
-        if crash_step is not None:
-            machine.run(steps=crash_step)
-            if not machine.finished:
-                crashed = True
-                steps_before = machine.stats.steps
-                machine.crash(crash_event)
-                shard.report.crashes += 1
-                acked = {entry[3] for entry in machine.io_log}
-                found = check_recovery(
-                    machine.pm, acked, shard.model, requests, first_id
+        self.violations.extend(result.violations)
+        crashed = result.outcome == "crashed"
+        if crashed:
+            acked = len(result.acked_local)
+            shard.report.crashes += 1
+            self.progress(
+                "shard %d: crash at step %d, %d/%d acked, %s"
+                % (
+                    shard.shard,
+                    result.crash_step,
+                    acked,
+                    len(requests),
+                    "oracle VIOLATION" if result.violations else "oracle ok",
                 )
-                self.violations.extend(
-                    "shard %d epoch at id %d: %s" % (shard.shard, first_id, v)
-                    for v in found
-                )
-                self.progress(
-                    "shard %d: crash at step %d, %d/%d acked, %s"
-                    % (
-                        shard.shard,
-                        steps_before,
-                        len(acked),
-                        len(requests),
-                        "oracle VIOLATION" if found else "oracle ok",
-                    )
-                )
-                self.trace.emit(
-                    "server_crash", epoch=epoch, shard=shard.shard,
-                    step=steps_before, acked=len(acked),
-                    requests=len(requests), oracle_ok=not found,
-                )
-                shard.report.recovered_ops += len(requests) - len(acked)
-        machine.run()
-        machine.finish_messages()
-        if not machine.finished:
-            self.violations.append(
-                "shard %d: epoch did not finish" % shard.shard
             )
-            return
+            self.trace.emit(
+                "server_crash", epoch=epoch, shard=shard.shard,
+                step=result.crash_step, acked=acked,
+                requests=len(requests), oracle_ok=not result.violations,
+            )
+            shard.report.recovered_ops += len(requests) - acked
 
         # client-observed latency: the batch arrives at epoch start, so a
         # request is served once its ack's region commits — the step count
         # from epoch start to that commit (queueing behind earlier
         # requests, WPQ quarantine, boundary broadcast, flush-ACK wait,
-        # and — after a power failure — the whole recovery re-execution).
-        # First committed occurrence wins; re-executed ios come later.
-        commit_at = dict(machine.stats.commit_steps)
-        seen: Dict[int, float] = {}
-        for payload, region, step in machine.stats.io_steps:
-            if payload in seen or region not in commit_at:
-                continue
-            seen[payload] = self._steps_to_ns(commit_at[region])
-        epoch_lat = [ns for _, ns in sorted(seen.items())]
+        # and — after a power failure — the whole recovery re-execution)
+        epoch_lat = [
+            self._steps_to_ns(step)
+            for _, step in sorted(result.ack_steps.items())
+        ]
         shard.report.latencies_ns.extend(epoch_lat)
-        shard.report.acked += len(seen)
+        shard.report.acked += len(epoch_lat)
 
         # advance the reference model and the durable image
         shard.model.apply_all(requests)
-        shard.image = {
-            w: v
-            for w, v in machine.pm.items()
-            if w >= DATA_FLOOR and v != 0
-        }
+        shard.image = result.image
         shard.served += len(requests)
         shard.report.ops += len(requests)
         shard.report.epochs += 1
-        shard.report.steps += machine.stats.steps
-        shard.report.commits += machine.stats.commits
-        shard.report.boundaries += machine.stats.boundaries
+        shard.report.steps += result.steps
+        shard.report.commits += result.commits
+        shard.report.boundaries += result.boundaries
         shard.report.max_wpq_occupancy = max(
-            shard.report.max_wpq_occupancy, machine.stats.max_wpq_occupancy
+            shard.report.max_wpq_occupancy, result.max_wpq_occupancy
         )
         summary = latency_summary(epoch_lat)
         self.trace.emit(
             "server_epoch", epoch=epoch, shard=shard.shard,
-            ops=len(requests), acked=len(seen),
-            steps=machine.stats.steps,
-            sim_ns=self._steps_to_ns(machine.stats.steps),
+            ops=len(requests), acked=len(epoch_lat),
+            steps=result.steps,
+            sim_ns=self._steps_to_ns(result.steps),
             p50=summary["p50"], p95=summary["p95"], p99=summary["p99"],
-            wpq_occupancy=machine.stats.max_wpq_occupancy,
-            commits=machine.stats.commits, crashed=crashed,
+            wpq_occupancy=result.max_wpq_occupancy,
+            commits=result.commits, crashed=crashed,
         )
         if crashed:
             # the epoch's tail re-executed; its final image must agree
             # with the model (the crash was transparent to clients)
-            visible, problems = visible_state(shard.image, lay)
+            visible, problems = visible_state(shard.image, self.layout)
             if problems:
                 self.violations.extend(
                     "shard %d post-recovery: %s" % (shard.shard, p)
@@ -397,6 +320,7 @@ class StoreServer:
                     "shard %d post-recovery state diverged from model"
                     % shard.shard
                 )
+        return result.steps
 
     # ------------------------------------------------------------------
     def serve(
@@ -442,11 +366,9 @@ class StoreServer:
                         step=step,
                         torn_index=0 if crash_torn else -1,
                     )
-                before = shard.report.steps
-                self._run_epoch(shard, chunk, step, event, epoch=epoch)
-                epoch_steps = max(
-                    epoch_steps, shard.report.steps - before
-                )
+                epoch_steps = max(epoch_steps, self._run_epoch(
+                    shard, chunk, step, event, epoch=epoch
+                ))
             self.sim_ns += self._steps_to_ns(epoch_steps)
 
     # ------------------------------------------------------------------
@@ -458,10 +380,7 @@ class StoreServer:
             )
             shard.report.drops = shard.image.get(lay.meta + META_DROPS, 0)
             shard.report.keys_live = len(shard.model.kv)
-            h = hashlib.sha256()
-            for w in sorted(shard.image):
-                h.update(("%d=%d;" % (w, shard.image[w])).encode())
-            shard.report.image_digest = h.hexdigest()[:16]
+            shard.report.image_digest = image_digest(shard.image)
             visible, problems = visible_state(shard.image, lay)
             self.violations.extend(
                 "shard %d final: %s" % (shard.shard, p) for p in problems

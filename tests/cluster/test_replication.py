@@ -4,14 +4,15 @@ zero-acked-write-loss contrast with un-replicated degradation."""
 
 import pytest
 
-from repro.cluster import (
-    ClusterFault,
-    ClusterSession,
-    execute_shard_epoch,
-)
+from repro.cluster import ClusterFault, ClusterSession
 from repro.compiler import compile_program
 from repro.config import DEFAULT_CONFIG
-from repro.store import StoreLayout, StoreModel, build_store_program
+from repro.store import (
+    StoreLayout,
+    StoreModel,
+    build_store_program,
+    execute_shard_epoch,
+)
 from repro.store.layout import OP_PUT
 from repro.trace import JsonlTrace, read_trace
 
@@ -21,7 +22,7 @@ KILL = ClusterFault(kind="kill", epoch=2, shard=1, down_for=8)
 @pytest.fixture(scope="module")
 def compiled_store():
     sizing = StoreLayout.sized(16, value_words=2, max_batch=8)
-    prog, layout = build_store_program(sizing, epoch_base=0)
+    prog, layout = build_store_program(sizing)
     return compile_program(prog, DEFAULT_CONFIG.compiler), layout
 
 
