@@ -1,29 +1,32 @@
-"""A stepping interpreter (VM) for the IR.
+"""The interpreter (VM) for the IR.
 
-The VM executes one instruction per :meth:`ThreadVM.step` call and returns
-a :class:`~repro.trace.TraceEvent`, so it serves three masters:
+One loop executes instructions: :meth:`ThreadVM.run_fast` runs a batch
+of them inline over precompiled code tuples and stops *before* any
+machine-visible instruction (LOCK / ATOMIC_RMW / FENCE / BOUNDARY / IO).
+It serves every consumer:
 
-* trace generation for the timing simulator (run a thread to completion,
-  collect the events: :func:`trace_of`),
+* trace generation for the timing simulator (:func:`run_single`,
+  :func:`run_threads`, :func:`trace_of`): passed an event list,
+  ``run_fast`` appends one :class:`~repro.trace.TraceEvent` per retired
+  instruction;
 * the functional persistence machine, which interposes on every memory
   write to model WPQ gating and can stop a thread at an arbitrary step to
-  inject a power failure,
-* multi-threaded scheduling: ``step`` returns ``None`` when the thread is
-  blocked on a lock, letting a scheduler interleave threads.
+  inject a power failure; it passes no event list and pays nothing for
+  events.
+
+:meth:`ThreadVM.step` executes exactly one instruction and returns its
+event (``None`` when the thread is blocked on a lock, letting a scheduler
+interleave threads).  It owns only the five machine-visible handlers and
+runs every other instruction as a one-instruction ``run_fast`` batch.
 
 Execution is driven by a precompiled dispatch table: at
 :func:`~repro.compiler.pipeline.compile_program` time (or lazily on first
 execution) every basic block is lowered once into a list of flat code
 tuples — a small-integer opcode plus pre-resolved operands (wrapped
 immediates, a specialized binop function, pre-parsed checkpoint slots,
-callee parameter tuples).  :meth:`ThreadVM.step` is a thin wrapper that
-indexes an opcode → bound-handler table with the tuple's code;
-:meth:`ThreadVM.run_fast` executes a whole batch of instructions in one
-inline loop over the same tuples, surfacing only the instructions the
-outer machine must see (LOCK / ATOMIC_RMW / FENCE / BOUNDARY / IO).  The
-batched loop is byte-for-bit equivalent to repeated ``step`` calls — the
-parity property suite (tests/core) pins that equivalence across random
-programs, and it is the soundness argument for keeping two loops.
+callee parameter tuples).  The instruction semantics are pinned by
+digests of traces and final memory recorded with the former per-opcode
+interpreter (tests/compiler/test_interp_reference.py).
 
 The dispatch cache lives on the :class:`~repro.compiler.ir.Program` and
 revalidates cheaply (length + terminator identity) on block entry, so the
@@ -39,6 +42,7 @@ bound (callee-saved-everything, which makes per-function liveness sound).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     Any,
     Callable,
@@ -346,6 +350,10 @@ class ThreadVM:
         #: (None after any other exit) — lets the caller dispatch it
         #: without re-fetching the block
         self.paused_code: Optional[Code] = None
+        #: the one ALU event :meth:`run_fast` repeats for every retired
+        #: instruction other than LOAD / STORE / CHECKPOINT / UNLOCK /
+        #: HALT (events are never mutated, so one instance serves all)
+        self._alu_event = TraceEvent(EK.ALU, tid=tid)
 
     # ------------------------------------------------------------------
     def _value(self, operand: Union[int, str]) -> int:
@@ -393,147 +401,20 @@ class ThreadVM:
         """Execute one instruction.  Returns the trace event, ``None``
         when blocked on a lock, or a HALT event exactly once at the end.
 
-        A thin wrapper over the precompiled dispatch table: the current
-        instruction's code tuple selects a bound handler."""
+        The five machine-visible instructions run through their handlers
+        below; every other instruction runs as a one-instruction
+        :meth:`run_fast` batch."""
         if self.halted:
             return None
         code = self._code_for(self.func_name, self.block)[self.index]
-        handler = _HANDLERS[code[0]]
-        return handler(self, code)
+        k = code[0]
+        if k >= _C_PAUSE:
+            return _VISIBLE_HANDLERS[k - _C_PAUSE](self, code)
+        out: List[TraceEvent] = []
+        self.run_fast(1, out)
+        return out[0]
 
-    # -- per-opcode handlers (the single-step semantics reference) ------
-    def _advance(self) -> None:
-        self.index += 1
-
-    def _jump(self, label: str) -> None:
-        self.block = label
-        self.index = 0
-
-    def _h_const(self, c: Code) -> Optional[TraceEvent]:
-        self.steps += 1
-        self.regs[c[2]] = c[3]
-        self.index += 1
-        return TraceEvent(EK.ALU, tid=self.tid)
-
-    def _h_mov(self, c: Code) -> Optional[TraceEvent]:
-        self.steps += 1
-        v = c[3]
-        self.regs[c[2]] = self.regs.get(v, 0) if type(v) is str else v
-        self.index += 1
-        return TraceEvent(EK.ALU, tid=self.tid)
-
-    def _h_binop(self, c: Code) -> Optional[TraceEvent]:
-        self.steps += 1
-        regs = self.regs
-        a = c[4]
-        if type(a) is str:
-            a = regs.get(a, 0)
-        b = c[5]
-        if type(b) is str:
-            b = regs.get(b, 0)
-        regs[c[2]] = c[3](a, b)
-        self.index += 1
-        return TraceEvent(EK.ALU, tid=self.tid)
-
-    def _h_nop(self, c: Code) -> Optional[TraceEvent]:
-        self.steps += 1
-        self.index += 1
-        return TraceEvent(EK.ALU, tid=self.tid)
-
-    def _h_load(self, c: Code) -> Optional[TraceEvent]:
-        self.steps += 1
-        a = c[3]
-        if type(a) is str:
-            a = self.regs.get(a, 0)
-        addr = _wrap(a + c[4])
-        self.regs[c[2]] = self.memory.read(addr)
-        self.index += 1
-        return TraceEvent(EK.LOAD, addr=addr * WORD_BYTES, tid=self.tid)
-
-    def _h_store(self, c: Code) -> Optional[TraceEvent]:
-        self.steps += 1
-        regs = self.regs
-        a = c[3]
-        if type(a) is str:
-            a = regs.get(a, 0)
-        addr = _wrap(a + c[4])
-        v = c[2]
-        self.memory.write(addr, regs.get(v, 0) if type(v) is str else v)
-        self.index += 1
-        return TraceEvent(EK.STORE, addr=addr * WORD_BYTES, tid=self.tid)
-
-    def _h_ckpt(self, c: Code) -> Optional[TraceEvent]:
-        self.steps += 1
-        index = c[3]
-        if index is None:
-            slot = Program.checkpoint_slot(self.tid, c[2])
-        else:
-            slot = self.tid * Program.CHECKPOINT_WORDS_PER_CORE + index
-        self.memory.write(slot, self.regs.get(c[2], 0))
-        self.index += 1
-        return TraceEvent(EK.CHECKPOINT, addr=slot * WORD_BYTES, tid=self.tid)
-
-    def _h_br(self, c: Code) -> Optional[TraceEvent]:
-        self.steps += 1
-        self.block = c[2]
-        self.index = 0
-        return TraceEvent(EK.ALU, tid=self.tid)
-
-    def _h_cbr(self, c: Code) -> Optional[TraceEvent]:
-        self.steps += 1
-        v = c[2]
-        if type(v) is str:
-            v = self.regs.get(v, 0)
-        self.block = c[3] if v != 0 else c[4]
-        self.index = 0
-        return TraceEvent(EK.ALU, tid=self.tid)
-
-    def _h_call(self, c: Code) -> Optional[TraceEvent]:
-        self.steps += 1
-        instr: Instr = c[1]
-        callee = self.program.functions[c[2]]
-        self.frames.append(
-            Frame(
-                regs=self.regs,
-                func=self.func_name,
-                block=self.block,
-                index=self.index + 1,
-                ret_reg=c[3],
-            )
-        )
-        regs = self.regs
-        new_regs: Dict[str, int] = {}
-        for param, src in zip(callee.params, instr.srcs):
-            new_regs[param] = regs.get(src, 0) if type(src) is str else src
-        self.regs = new_regs
-        self.func_name = c[2]
-        self.block = callee.entry
-        self.index = 0
-        return TraceEvent(EK.ALU, tid=self.tid)
-
-    def _h_ret(self, c: Code) -> Optional[TraceEvent]:
-        self.steps += 1
-        v = c[2]
-        if type(v) is str:
-            v = self.regs.get(v, 0)
-        if not self.frames:
-            self.halted = True
-            return TraceEvent(EK.HALT, tid=self.tid)
-        frame = self.frames.pop()
-        self.regs = frame.regs
-        if frame.ret_reg is not None:
-            self.regs[frame.ret_reg] = v
-        self.func_name = frame.func
-        self.block = frame.block
-        self.index = frame.index
-        return TraceEvent(EK.ALU, tid=self.tid)
-
-    def _h_unlock(self, c: Code) -> Optional[TraceEvent]:
-        self.steps += 1
-        self.locks.release(c[2], self.tid)
-        self.index += 1
-        return TraceEvent(EK.UNLOCK, tid=self.tid, lock_id=c[2])
-
+    # -- machine-visible handlers (run_fast pauses before these) --------
     def _h_lock(self, c: Code) -> Optional[TraceEvent]:
         # Locks may refuse to advance the thread — no step is charged.
         if not self.locks.try_acquire(c[2], self.tid):
@@ -542,7 +423,7 @@ class ThreadVM:
         self.steps += 1
         return TraceEvent(EK.LOCK, tid=self.tid, lock_id=c[2])
 
-    def _h_atomic(self, c: Code) -> Optional[TraceEvent]:
+    def _h_atomic(self, c: Code) -> TraceEvent:
         self.steps += 1
         instr: Instr = c[1]
         addr = self._addr(instr)
@@ -555,12 +436,12 @@ class ThreadVM:
         self.index += 1
         return TraceEvent(EK.ATOMIC, addr=addr * WORD_BYTES, tid=self.tid)
 
-    def _h_fence(self, c: Code) -> Optional[TraceEvent]:
+    def _h_fence(self, c: Code) -> TraceEvent:
         self.steps += 1
         self.index += 1
         return TraceEvent(EK.FENCE, tid=self.tid)
 
-    def _h_boundary(self, c: Code) -> Optional[TraceEvent]:
+    def _h_boundary(self, c: Code) -> TraceEvent:
         self.steps += 1
         instr: Instr = c[1]
         slot = Program.pc_slot(self.tid)
@@ -573,7 +454,7 @@ class ThreadVM:
             boundary_uid=instr.uid,
         )
 
-    def _h_io(self, c: Code) -> Optional[TraceEvent]:
+    def _h_io(self, c: Code) -> TraceEvent:
         self.steps += 1
         instr: Instr = c[1]
         payload = self._value(instr.srcs[0]) if instr.srcs else 0
@@ -584,16 +465,24 @@ class ThreadVM:
         )
 
     # ------------------------------------------------------------------
-    def run_fast(self, limit: int) -> Tuple[int, str]:
+    def run_fast(
+        self, limit: int, events: Optional[List[TraceEvent]] = None
+    ) -> Tuple[int, str]:
         """Execute up to ``limit`` instructions in one inline loop over
-        the compiled code tuples.
+        the compiled code tuples — the only loop that executes
+        non-visible instructions.
 
         Stops *before* any machine-visible instruction (LOCK /
         ATOMIC_RMW / FENCE / BOUNDARY / IO) with reason ``"pause"``;
         executes a halting RET inline and returns ``"halt"``; otherwise
-        retires ``limit`` instructions and returns ``"limit"``.  The
-        executed prefix is byte-for-bit identical to the same number of
-        :meth:`step` calls — the parity property suite pins this."""
+        retires ``limit`` instructions and returns ``"limit"``.
+
+        With an ``events`` list, appends one event per retired
+        instruction: LOAD / STORE / CHECKPOINT / UNLOCK / HALT as they
+        retire, every other instruction as a repeat of one shared ALU
+        event (emitted as a run before the next such event and at
+        exit).  Without one (the machine's path) nothing is allocated
+        for events."""
         if self.halted or limit <= 0:
             return 0, "halt" if self.halted else "limit"
         self.paused_code = None
@@ -612,6 +501,10 @@ class ThreadVM:
         index = self.index
         n = 0
         reason = "limit"
+        alu = self._alu_event
+        # count of instructions already represented in ``events``: the
+        # pending ALU run is n - emitted
+        emitted = 0
         # Per-call block cache: blocks cannot be edited while this loop
         # runs, so each (re)validated code list is reused for every
         # re-entry (loop back-edges dominate).  Cleared on function
@@ -636,16 +529,32 @@ class ThreadVM:
                 a = c[3]
                 if type(a) is str:
                     a = regs.get(a, 0)
-                regs[c[2]] = mem_read(_wrap(a + c[4]))
+                addr = _wrap(a + c[4])
+                regs[c[2]] = mem_read(addr)
+                if events is not None:
+                    if n != emitted:
+                        events.extend(repeat(alu, n - emitted))
+                    events.append(
+                        TraceEvent(EK.LOAD, addr=addr * WORD_BYTES, tid=tid)
+                    )
+                    emitted = n + 1
                 index += 1
             elif k == C_STORE:
                 a = c[3]
                 if type(a) is str:
                     a = regs.get(a, 0)
+                addr = _wrap(a + c[4])
                 v = c[2]
                 if type(v) is str:
                     v = regs.get(v, 0)
-                mem_write(_wrap(a + c[4]), v)
+                mem_write(addr, v)
+                if events is not None:
+                    if n != emitted:
+                        events.extend(repeat(alu, n - emitted))
+                    events.append(
+                        TraceEvent(EK.STORE, addr=addr * WORD_BYTES, tid=tid)
+                    )
+                    emitted = n + 1
                 index += 1
             elif k == C_CBR:
                 v = c[2]
@@ -675,6 +584,15 @@ class ThreadVM:
                 else:
                     slot = ckpt_base + ri
                 mem_write(slot, regs.get(c[2], 0))
+                if events is not None:
+                    if n != emitted:
+                        events.extend(repeat(alu, n - emitted))
+                    events.append(
+                        TraceEvent(
+                            EK.CHECKPOINT, addr=slot * WORD_BYTES, tid=tid
+                        )
+                    )
+                    emitted = n + 1
                 index += 1
             elif k == C_CALL:
                 frames.append(Frame(regs, func_name, label, index + 1, c[3]))
@@ -696,7 +614,12 @@ class ThreadVM:
                 if type(v) is str:
                     v = regs.get(v, 0)
                 if not frames:
+                    if events is not None:
+                        if n != emitted:
+                            events.extend(repeat(alu, n - emitted))
+                        events.append(TraceEvent(EK.HALT, tid=tid))
                     n += 1
+                    emitted = n
                     self.halted = True
                     reason = "halt"
                     break
@@ -713,15 +636,24 @@ class ThreadVM:
                 index += 1
             elif k == C_UNLOCK:
                 lock_release(c[2], tid)
+                if events is not None:
+                    if n != emitted:
+                        events.extend(repeat(alu, n - emitted))
+                    events.append(
+                        TraceEvent(EK.UNLOCK, tid=tid, lock_id=c[2])
+                    )
+                    emitted = n + 1
                 index += 1
             else:
                 # machine-visible: LOCK / ATOMIC_RMW / FENCE / BOUNDARY /
-                # IO — the outer machine executes these through step()
-                # (or dispatches the stashed code tuple directly)
+                # IO — the caller executes these through step() (or
+                # dispatches the stashed code tuple directly)
                 reason = "pause"
                 self.paused_code = c
                 break
             n += 1
+        if events is not None and n != emitted:
+            events.extend(repeat(alu, n - emitted))
         self.regs = regs
         self.func_name = func_name
         self.block = label
@@ -730,26 +662,14 @@ class ThreadVM:
         return n, reason
 
 
-#: opcode -> handler; indexed by the code tuple's first element
-_HANDLERS: List[Callable[[ThreadVM, Code], Optional[TraceEvent]]] = [
-    ThreadVM._h_const,      # C_CONST
-    ThreadVM._h_mov,        # C_MOV
-    ThreadVM._h_binop,      # C_BINOP
-    ThreadVM._h_nop,        # C_NOP
-    ThreadVM._h_load,       # C_LOAD
-    ThreadVM._h_store,      # C_STORE
-    ThreadVM._h_ckpt,       # C_CKPT
-    ThreadVM._h_br,         # C_BR
-    ThreadVM._h_cbr,        # C_CBR
-    ThreadVM._h_call,       # C_CALL
-    ThreadVM._h_ret,        # C_RET
-    ThreadVM._h_unlock,     # C_UNLOCK
+#: the machine-visible handlers, indexed by ``code[0] - _C_PAUSE``
+_VISIBLE_HANDLERS: Tuple[Callable[[ThreadVM, Code], Optional[TraceEvent]], ...] = (
     ThreadVM._h_lock,       # C_LOCK
     ThreadVM._h_atomic,     # C_ATOMIC
     ThreadVM._h_fence,      # C_FENCE
     ThreadVM._h_boundary,   # C_BOUNDARY
     ThreadVM._h_io,         # C_IO
-]
+)
 
 
 def run_single(
@@ -757,28 +677,12 @@ def run_single(
     func_name: str = "main",
     args: Sequence[int] = (),
     max_steps: int = 2_000_000,
-    memory: Optional[WordMemory] = None,
 ) -> Tuple[List[TraceEvent], WordMemory]:
-    """Run one thread to completion; returns (events, memory)."""
-    vm = ThreadVM(program, func_name, args=args, memory=memory)
-    events: List[TraceEvent] = []
-    append = events.append
-    step = vm.step
-    while not vm.halted:
-        if vm.steps >= max_steps:
-            raise MachineLimitError(
-                "execution exceeded %d steps (likely non-terminating)"
-                % max_steps,
-                steps=vm.steps,
-                limit=max_steps,
-            )
-        event = step()
-        if event is None:
-            raise DeadlockError(
-                "single thread blocked on a lock: deadlock", steps=vm.steps
-            )
-        append(event)
-    return events, vm.memory
+    """Run one thread to completion; returns (events, memory).  The
+    :func:`run_threads` driver with one thread whose turn never ends."""
+    return run_threads(
+        program, [(func_name, args)], max_steps=max_steps, quantum=max_steps
+    )
 
 
 def run_threads(
@@ -789,9 +693,13 @@ def run_threads(
     quantum: int = 16,
 ) -> Tuple[List[TraceEvent], WordMemory]:
     """Run several threads over shared memory with a deterministic
-    round-robin schedule (``quantum`` instructions per turn).  The schedule
-    seed rotates the starting thread, giving tests cheap schedule
-    diversity while staying reproducible."""
+    round-robin schedule (``quantum`` instructions per turn); returns
+    (events, memory).  The schedule seed rotates the starting thread,
+    giving tests cheap schedule diversity while staying reproducible.
+
+    Each turn batches through :meth:`ThreadVM.run_fast` and single-steps
+    only the machine-visible instructions it pauses before; a turn ends
+    early when its thread blocks on a lock or halts."""
     memory = WordMemory()
     locks = LockTable()
     vms = [
@@ -808,21 +716,31 @@ def run_threads(
         turn = (turn + 1) % n
         if vm.halted:
             continue
+        budget = quantum
         progressed = False
-        for _ in range(quantum):
-            if vm.halted:
-                break
+        while not vm.halted:
             if total >= max_steps:
                 raise MachineLimitError(
-                    "multi-thread run exceeded %d steps" % max_steps,
+                    "execution exceeded %d steps (likely non-terminating)"
+                    % max_steps,
                     steps=total,
                     limit=max_steps,
                 )
+            if budget <= 0:
+                break
+            retired, why = vm.run_fast(min(budget, max_steps - total), events)
+            if retired:
+                progressed = True
+                total += retired
+                budget -= retired
+            if why != "pause":
+                continue
             event = vm.step()
             if event is None:
                 break  # blocked on a lock; yield the turn
             progressed = True
             total += 1
+            budget -= 1
             events.append(event)
         if progressed:
             stalls = 0

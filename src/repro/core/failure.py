@@ -17,10 +17,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.pipeline import CompiledProgram
 from ..config import DEFAULT_CONFIG, SystemConfig
+from ..errors import MachineLimitError
 from ..trace import EK
 from .machine import MachineStats, PersistentMachine
 
-__all__ = ["reference_pm", "run_with_crashes", "crash_sweep"]
+__all__ = [
+    "reference_pm", "run_with_crashes", "crash_sweep", "boundary_steps",
+]
 
 Entries = Sequence[Tuple[str, Sequence[int]]]
 DEFAULT_ENTRIES: Entries = (("main", ()),)
@@ -37,6 +40,26 @@ def _machine(
         compiled, entries=entries, config=config,
         schedule_seed=schedule_seed, backend=backend,
     )
+
+
+def boundary_steps(machine: PersistentMachine) -> List[int]:
+    """Single-step ``machine`` to completion and return the step count at
+    which each BOUNDARY retired; ``machine.stats.steps`` is then the
+    program's length.  Raises :class:`MachineLimitError` once the run
+    reaches ``machine.max_steps``."""
+    steps: List[int] = []
+    while True:
+        event = machine.step()
+        if event is None:
+            return steps
+        if machine.stats.steps >= machine.max_steps:
+            raise MachineLimitError(
+                "machine exceeded max_steps",
+                steps=machine.stats.steps,
+                limit=machine.max_steps,
+            )
+        if event.kind == EK.BOUNDARY:
+            steps.append(machine.stats.steps)
 
 
 def reference_pm(
@@ -117,22 +140,14 @@ def crash_sweep(
                              backend=backend)
 
     probe = _machine(compiled, entries, config, schedule_seed, backend)
-    boundary_steps: List[int] = []
-    while True:
-        event = probe.step()
-        if event is None:
-            break
-        if probe.stats.steps >= probe.max_steps:
-            raise RuntimeError("machine exceeded max_steps")
-        if event.kind == EK.BOUNDARY:
-            boundary_steps.append(probe.stats.steps)
+    boundaries = boundary_steps(probe)
     total_steps = probe.stats.steps
 
     if stride is not None:
         points = list(range(1, total_steps + 1, stride))
     else:
         candidates = {1}
-        for b in boundary_steps:
+        for b in boundaries:
             for delta in (-1, 0, 1):
                 if 1 <= b + delta <= total_steps:
                     candidates.add(b + delta)

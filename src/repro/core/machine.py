@@ -325,10 +325,14 @@ class PersistentMachine:
         """One instruction of the round-robin schedule; None when all
         threads have halted.
 
-        This is the single-step semantics reference (and the only path
-        that surfaces every TraceEvent); :meth:`run_quantum` batches the
-        uneventful stretches and falls back to this for anything
-        machine-visible."""
+        The per-instruction schedule: it returns the retired
+        instruction's TraceEvent and owns sync refreshes, blocked-thread
+        rotation and deadlock detection.  :meth:`run_quantum` falls back
+        to it for machine-visible instructions, and the parity suite
+        pins batching against a loop of these calls.  Either way the
+        instruction itself executes in the interpreter's one loop
+        (:meth:`ThreadVM.step` delegates non-visible instructions to
+        :meth:`ThreadVM.run_fast`)."""
         n = len(self.vms)
         for _ in range(2 * n):
             tid = self._turn % n
@@ -349,26 +353,7 @@ class PersistentMachine:
             if event is None:
                 self._turn += 1  # blocked on a lock: rotate
                 continue
-            self.stats.steps += 1
-            if self.stats.steps % self.quantum == 0:
-                self._turn += 1
-            if event.kind == EK.BOUNDARY:
-                self._boundary_executed(tid, event.boundary_uid)
-            elif event.kind == EK.IO:
-                region = self.allocator.region_of(tid)
-                self.io_log.append(
-                    [tid, event.lock_id, region, event.payload]
-                )
-                if self.stats.io_steps is not None:
-                    self.stats.io_steps.append(
-                        (event.payload, region, self.stats.steps)
-                    )
-            elif event.kind == EK.LOCK:
-                # successful acquire: the critical section's stores belong
-                # to a region whose ID postdates the previous release
-                self._sync_refresh(tid)
-            elif event.kind == EK.HALT:
-                self._thread_halted(tid)
+            self._retire(tid, event)
             return event
         if all(vm.halted for vm in self.vms):
             return None
@@ -376,6 +361,30 @@ class PersistentMachine:
             "all live threads blocked on locks: deadlock",
             steps=self.stats.steps,
         )
+
+    def _retire(self, tid: int, event: TraceEvent) -> None:
+        """Book one single-stepped instruction of thread ``tid``: the
+        step count, the round-robin rotation at each quantum boundary,
+        and the machine-side effects of a boundary, IO, lock acquire or
+        halt."""
+        stats = self.stats
+        stats.steps += 1
+        if stats.steps % self.quantum == 0:
+            self._turn += 1
+        kind = event.kind
+        if kind == EK.BOUNDARY:
+            self._boundary_executed(tid, event.boundary_uid)
+        elif kind == EK.IO:
+            region = self.allocator.region_of(tid)
+            self.io_log.append([tid, event.lock_id, region, event.payload])
+            if stats.io_steps is not None:
+                stats.io_steps.append((event.payload, region, stats.steps))
+        elif kind == EK.LOCK:
+            # successful acquire: the critical section's stores belong
+            # to a region whose ID postdates the previous release
+            self._sync_refresh(tid)
+        elif kind == EK.HALT:
+            self._thread_halted(tid)
 
     # -- batched execution hooks (FaultyMachine specializes these) ------
     def _quantum_cap(self) -> Optional[int]:
@@ -409,13 +418,15 @@ class PersistentMachine:
         instructions) in one batched inner loop; returns the number of
         instructions retired, or ``None`` when all threads have halted.
 
-        The batch runs through :meth:`ThreadVM.run_fast` and is capped so
-        it never crosses a point where the machine must intervene: the
-        round-robin rotation (``steps % quantum == 0``), ``max_steps``,
-        a subclass cap (:meth:`_quantum_cap`), or any machine-visible
-        instruction (LOCK / ATOMIC_RMW / FENCE / BOUNDARY / IO), which
-        falls back to the classic :meth:`step`.  Byte-for-bit equivalent
-        to single-stepping — the parity suite pins this."""
+        The batch runs through :meth:`ThreadVM.run_fast` with no event
+        list and is capped so it never crosses a point where the machine
+        must intervene: the round-robin rotation (``steps % quantum ==
+        0``), ``max_steps``, a subclass cap (:meth:`_quantum_cap`), or
+        any machine-visible instruction (LOCK / ATOMIC_RMW / FENCE /
+        BOUNDARY / IO), which is retired through :meth:`step`.  Every
+        outcome (images, stats, I/O log, thread state) equals calling
+        :meth:`step` once per instruction — the parity suite pins
+        this."""
         n = len(self.vms)
         budget = limit if limit is not None else self.quantum
         if n == 1:
@@ -557,23 +568,10 @@ class PersistentMachine:
             c = vm.paused_code
             k = c[0] if c is not None else -1
             if k == C_BOUNDARY:
-                event = vm._h_boundary(c)
-                stats.steps += 1
-                if stats.steps % q == 0:
-                    self._turn += 1
-                self._boundary_executed(0, event.boundary_uid)
+                self._retire(0, vm._h_boundary(c))
                 self._after_batch()
             elif k == C_IO:
-                event = vm._h_io(c)
-                stats.steps += 1
-                if stats.steps % q == 0:
-                    self._turn += 1
-                region = self.allocator.region_of(0)
-                self.io_log.append([0, event.lock_id, region, event.payload])
-                if stats.io_steps is not None:
-                    stats.io_steps.append(
-                        (event.payload, region, stats.steps)
-                    )
+                self._retire(0, vm._h_io(c))
                 self._after_batch()
             else:
                 event = self.step()

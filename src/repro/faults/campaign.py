@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..analysis.battery import per_entry_drain_joules
 from ..compiler.pipeline import CompiledProgram, compile_program
 from ..config import DEFAULT_CONFIG, SystemConfig
-from ..core.failure import reference_pm
+from ..core.failure import boundary_steps, reference_pm
 from ..errors import DeadlockError, MachineLimitError
 from ..workloads.suite import BENCHMARKS
 from .defenses import ALL_ON, DEFENSE_OFF_MODES, Defenses
@@ -152,16 +152,8 @@ class _Probe:
 def _probe_benchmark(
     compiled: CompiledProgram, config: SystemConfig, backend=None
 ) -> _Probe:
-    from ..trace import EK
-
     machine = FaultyMachine(compiled, config=config, backend=backend)
-    boundary_steps: List[int] = []
-    while True:
-        event = machine.step()
-        if event is None:
-            break
-        if event.kind == EK.BOUNDARY:
-            boundary_steps.append(machine.stats.steps)
+    boundaries = boundary_steps(machine)
     total = machine.stats.steps
 
     reference = reference_pm(compiled, config=config, backend=backend)
@@ -170,7 +162,7 @@ def _probe_benchmark(
         # for gated (quarantine-based) backends
         return _Probe(
             total_steps=total,
-            boundary_steps=boundary_steps,
+            boundary_steps=boundaries,
             open_undo_steps=[],
             reference=reference,
             reference_tiny=reference,
@@ -189,7 +181,7 @@ def _probe_benchmark(
                 break
     return _Probe(
         total_steps=total,
-        boundary_steps=boundary_steps,
+        boundary_steps=boundaries,
         open_undo_steps=open_undo,
         reference=reference,
         reference_tiny=reference_pm(compiled, config=tiny, backend=backend),

@@ -96,17 +96,11 @@ def _crash_point(compiled, config: SystemConfig) -> int:
     """A mid-region instant: one step past a mid-run boundary, where the
     previous region's durability is still in flight under LRPO and the
     next region has begun."""
+    from ..core.failure import boundary_steps
     from ..core.machine import PersistentMachine
-    from ..trace import EK
 
     probe = PersistentMachine(compiled, config=config)
-    boundaries: List[int] = []
-    while True:
-        event = probe.step()
-        if event is None:
-            break
-        if event.kind == EK.BOUNDARY:
-            boundaries.append(probe.stats.steps)
+    boundaries = boundary_steps(probe)
     if not boundaries:
         return max(1, probe.stats.steps // 2)
     return boundaries[len(boundaries) // 2] + 1

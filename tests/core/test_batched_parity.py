@@ -5,10 +5,16 @@ The batched quantum path (``PersistentMachine.run_quantum`` driving
 identical to the classic per-instruction ``step()`` loop — same final PM
 and volatile images, same I/O log, same stats (including the high-water
 WPQ occupancy and the opt-in commit/IO step hooks), same thread
-positions and register files.  This sweep is the soundness argument for
-keeping two loops: it pins the equivalence across ≥50 random programs,
-every quantum size in {1, 3, default}, gated and eager backends, the
-tiny-WPQ overflow path, and mid-run power failures on the fault machine.
+positions and register files.  Both sides execute instructions in the
+same interpreter loop (``ThreadVM.step`` runs non-visible instructions as
+one-instruction ``run_fast`` batches), so this sweep pins the machine's
+batching — batch caps, bulk admission, the inline BOUNDARY/IO retire,
+the round-robin turn arithmetic — across ≥50 random programs, every
+quantum size in {1, 3, default}, gated and eager backends, the tiny-WPQ
+overflow path, and mid-run power failures on the fault machine.  What
+each instruction computes is pinned separately, against data recorded
+with the former per-opcode interpreter
+(tests/compiler/test_interp_reference.py).
 """
 
 from dataclasses import replace

@@ -6,7 +6,15 @@ from helpers import saxpy_program
 
 from repro.compiler import compile_program
 from repro.config import CompilerConfig
-from repro.core.failure import crash_sweep, reference_pm, run_with_crashes
+from repro.core.failure import (
+    boundary_steps,
+    crash_sweep,
+    reference_pm,
+    run_with_crashes,
+)
+from repro.core.machine import PersistentMachine
+from repro.errors import MachineLimitError
+from repro.trace import EK
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +31,27 @@ class TestReferencePM:
 
     def test_deterministic(self, compiled):
         assert reference_pm(compiled) == reference_pm(compiled)
+
+
+class TestBoundarySteps:
+    def test_matches_the_boundaries_of_the_trace(self, compiled):
+        from repro.compiler import run_single
+
+        machine = PersistentMachine(compiled)
+        steps = boundary_steps(machine)
+        events = run_single(compiled.program)[0]
+        assert machine.finished
+        assert machine.stats.steps == len(events)
+        assert steps == [
+            i + 1 for i, e in enumerate(events) if e.kind == EK.BOUNDARY
+        ]
+
+    def test_step_bound_raises_machine_limit(self, compiled):
+        machine = PersistentMachine(compiled, max_steps=10)
+        with pytest.raises(MachineLimitError) as info:
+            boundary_steps(machine)
+        assert info.value.steps == 10
+        assert info.value.limit == 10
 
 
 class TestRunWithCrashes:
